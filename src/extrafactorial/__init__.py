@@ -29,7 +29,6 @@ from .efs import (
     edge_statistics,
     efs_all,
     efs_breakdown,
-    efs_breakdown_explicit,
     extra_factorial_sum,
     mean_length_all,
     mean_length_not_through,
@@ -49,7 +48,6 @@ from .graph import (
 )
 from .profile import (
     ProfileComparison,
-    ProfileEntry,
     RankedProfile,
     compare_profiles,
     export_profile_csv,
@@ -68,7 +66,6 @@ __all__ = [
     "EfsBreakdown",
     "HamiltonianCycle",
     "ProfileComparison",
-    "ProfileEntry",
     "RankedProfile",
     "SummationalGraph",
     "brute_force_sum_through",
@@ -85,7 +82,6 @@ __all__ = [
     "edge_statistics",
     "efs_all",
     "efs_breakdown",
-    "efs_breakdown_explicit",
     "enumerate_all",
     "enumerate_through_edge",
     "enumerate_through_pair",

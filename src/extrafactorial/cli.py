@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +65,16 @@ def _edge_arg(text: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
+
+
+def _limit_arg(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"limit must be >= 0, got {limit}")
+    return limit
 
 
 def _pair_arg(text: str) -> tuple[int, int, int, int]:
@@ -132,12 +143,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
     else:
         stream = enumerate_all(g.n, max_order=args.max_order)
-    emitted = 0
-    for cycle in stream:
+    for cycle in islice(stream, args.limit):
         print(f"{cycle}  {_fmt(cycle_length(g, cycle))}")
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     return 0
 
 
@@ -184,8 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     complement_ok = True
     expected_through = count_through_edge(n)
     shrink = math.factorial(n - 3)
-    breakdowns = efs_all(g)
-    for e in g.edges():
+    for e, efs in zip(g.edges(), efs_all(g)):
         count = 0
         lengths = []
         for cycle in enumerate_through_edge(n, e, max_order=cap):
@@ -196,9 +202,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if count != expected_through:
             through_counts_ok = False
         oracle_sum = math.fsum(lengths)
-        bd = breakdowns[e]
-        if not _close(bd.efs * shrink, oracle_sum):
+        if not _close(efs * shrink, oracle_sum):
             efs_ok = False
+        bd = efs_breakdown(g, e)
         if not _close(bd.x1 + bd.x2 + bd.x3, g.total_weight):
             partition_ok = False
         if not _close(summational_graph(g, e).total_weight(), oracle_sum):
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--pair", type=_pair_arg, help="only cycles through both 'u,v' and 'x,y'"
     )
-    p.add_argument("--limit", type=int, help="stop after this many cycles")
+    p.add_argument("--limit", type=_limit_arg, help="stop after this many cycles")
     p.add_argument(
         "--max-order",
         type=int,

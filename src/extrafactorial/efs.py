@@ -50,39 +50,14 @@ class EdgeStatistics:
     mean_not_through: float | None  # None at order 3
 
 
-def _breakdown(g: CompleteWeightedGraph, e: EdgeKey) -> EfsBreakdown:
-    w = g.weights[_pair_index(g.n, e.u, e.v)]
-    s = g.strengths
-    x2 = s[e.u] + s[e.v] - 2.0 * w
-    x3 = g.total_weight - s[e.u] - s[e.v] + w
-    return EfsBreakdown(e, w, x2, x3, (g.n - 2) * w + x2 + 2.0 * x3)
-
-
 def efs_breakdown(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
     """x1/x2/x3 decomposition and extra-factorial sum for one edge."""
-    return _breakdown(g, g.edge(*e))
-
-
-def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
-    """Reference form of :func:`efs_breakdown` that sums edge classes directly.
-
-    O(n^2) per edge; kept as an independent cross-check of the strength-based
-    fast path (the two must agree to floating precision).
-    """
     key = g.edge(*e)
-    ends = set(key)
-    x1 = g.weight(*key)
-    intersecting: list[float] = []
-    disjoint: list[float] = []
-    for other, w in g.items():
-        shared = len(ends & set(other))
-        if shared == 1:
-            intersecting.append(w)
-        elif shared == 0:
-            disjoint.append(w)
-    x2 = math.fsum(intersecting)
-    x3 = math.fsum(disjoint)
-    return EfsBreakdown(key, x1, x2, x3, (g.n - 2) * x1 + x2 + 2.0 * x3)
+    w = g.weights[_pair_index(g.n, key.u, key.v)]
+    s = g.strengths
+    x2 = s[key.u] + s[key.v] - 2.0 * w
+    x3 = g.total_weight - s[key.u] - s[key.v] + w
+    return EfsBreakdown(key, w, x2, x3, (g.n - 2) * w + x2 + 2.0 * x3)
 
 
 def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -94,24 +69,23 @@ def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     return efs_breakdown(g, e).efs
 
 
-def efs_all(g: CompleteWeightedGraph) -> dict[EdgeKey, EfsBreakdown]:
-    """Breakdown for every edge, keyed by edge, in O(n^2) total."""
+def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
+    """Extra-factorial sum of every edge, aligned with ``g.weights``, in O(n^2)."""
     s = g.strengths
     total = g.total_weight
     scale = g.n - 2
-    out: dict[EdgeKey, EfsBreakdown] = {}
-    k = 0
     weights = g.weights
-    for u in range(g.n):
-        su = s[u]
-        for v in range(u + 1, g.n):
-            w = weights[k]
-            k += 1
-            x2 = su + s[v] - 2.0 * w
-            x3 = total - su - s[v] + w
-            e = EdgeKey(u, v)
-            out[e] = EfsBreakdown(e, w, x2, x3, scale * w + x2 + 2.0 * x3)
-    return out
+    out: list[float] = []
+    k = 0
+    for u, su in enumerate(s):
+        others = s[u + 1 :]
+        row = weights[k : k + len(others)]
+        k += len(others)
+        out += [
+            scale * w + (su + sv - 2.0 * w) + 2.0 * (total - su - sv + w)
+            for w, sv in zip(row, others)
+        ]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -191,9 +165,8 @@ def derived_graph(g: CompleteWeightedGraph) -> CompleteWeightedGraph:
     Its summed cycle lengths equal the summed *squared* cycle lengths of `g`.
     """
     scale = g.n - 2
-    breakdowns = efs_all(g)
     return CompleteWeightedGraph(
-        g.n, tuple(w * (breakdowns[e].efs / scale) for e, w in g.items())
+        g.n, tuple(w * (efs / scale) for w, efs in zip(g.weights, efs_all(g)))
     )
 
 
@@ -206,16 +179,6 @@ def mean_squared_length(g: CompleteWeightedGraph) -> float:
 
         mean(l^2) = 2 / ((n-1)(n-2)) * sum_e w(e) * efs(e)
     """
-    s = g.strengths
-    total = g.total_weight
     n = g.n
-    terms: list[float] = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = g.weights[k]
-            k += 1
-            x2 = s[u] + s[v] - 2.0 * w
-            x3 = total - s[u] - s[v] + w
-            terms.append(w * ((n - 2) * w + x2 + 2.0 * x3))
-    return 2.0 * math.fsum(terms) / ((n - 1) * (n - 2))
+    weighted = math.fsum(w * efs for w, efs in zip(g.weights, efs_all(g)))
+    return 2.0 * weighted / ((n - 1) * (n - 2))

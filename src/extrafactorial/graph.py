@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -138,7 +139,13 @@ def build_graph(
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
     m = n * (n - 1) // 2
-    slots: list[float | None] = [None] * m
+    entries = list(entries)
+    # Fewer entries than pairs must leave a pair without a weight. The table
+    # is then sized by the entries, not by the order, which a file header can
+    # set arbitrarily high; a missing slot reads as None either way.
+    slots: list[float | None] | defaultdict[int, None] = (
+        [None] * m if len(entries) >= m else defaultdict(type(None))
+    )
     for raw, value in entries:
         e = edge_key(*raw)
         if e.v >= n:
@@ -152,11 +159,11 @@ def build_graph(
                 f"edge {tuple(e)} given twice with {slots[k]!r} and {w!r}"
             )
         slots[k] = w
-    for k, value in enumerate(slots):
-        if value is None:
-            u = next(u for u in range(n) if _pair_index(n, u, n - 1) >= k)
-            v = k - _pair_index(n, u, u + 1) + u + 1
-            raise MissingEdge(f"no weight for edge ({u}, {v})")
+    k = next((k for k in range(m) if slots[k] is None), None)
+    if k is not None:
+        u = next(u for u in range(n) if _pair_index(n, u, n - 1) >= k)
+        v = k - _pair_index(n, u, u + 1) + u + 1
+        raise MissingEdge(f"no weight for edge ({u}, {v})")
     return CompleteWeightedGraph(n, tuple(slots))  # type: ignore[arg-type]
 
 

@@ -11,34 +11,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .efs import efs_all
 from .errors import GraphSyntaxError, OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, format_weight
+from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, format_weight
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
-
-
-class ProfileEntry(NamedTuple):
-    rank: int
-    edge: EdgeKey
-    efs: float
 
 
 @dataclass(frozen=True)
 class RankedProfile:
     """All edges of one graph ranked by ascending extra-factorial sum.
 
-    Ranks run 1..n(n-1)/2; ties are ordered by (u, v) lexicographically.
+    `efs` holds every edge's value in ``g.weights`` order, row-major over the
+    pairs (u, v) with u < v; `order` holds those edge indices by rank, with
+    ties ordered by (u, v) lexicographically.
     """
 
     n: int
-    entries: tuple[ProfileEntry, ...]
+    order: tuple[int, ...]
+    efs: tuple[float, ...]
 
     def edge_sequence(self) -> tuple[EdgeKey, ...]:
-        return tuple(entry.edge for entry in self.entries)
+        n = self.n
+        edges = [EdgeKey(u, v) for u in range(n) for v in range(u + 1, n)]
+        return tuple(edges[k] for k in self.order)
 
 
 @dataclass(frozen=True)
@@ -58,34 +56,28 @@ class ProfileComparison:
 
 def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
     """Edges of `g` sorted ascending by extra-factorial sum."""
-    breakdowns = efs_all(g)
-    ordered = sorted((bd.efs, e) for e, bd in breakdowns.items())
-    entries = tuple(
-        ProfileEntry(rank, e, value)
-        for rank, (value, e) in enumerate(ordered, start=1)
-    )
-    return RankedProfile(g.n, entries)
+    efs = efs_all(g)
+    # a stable sort of the row-major indices keeps ties in (u, v) order
+    return RankedProfile(g.n, tuple(sorted(range(len(efs)), key=efs.__getitem__)), efs)
 
 
 def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
     """Rank-order equality and exact-scale detection between two profiles."""
     if p1.n != p2.n:
         raise OrderMismatch(f"profile orders differ: {p1.n} != {p2.n}")
-    same_ranking = p1.edge_sequence() == p2.edge_sequence()
-    by_edge_1 = {entry.edge: entry.efs for entry in p1.entries}
-    by_edge_2 = {entry.edge: entry.efs for entry in p2.entries}
-    pivot = max(by_edge_1, key=lambda e: abs(by_edge_1[e]))
-    if by_edge_1[pivot] == 0.0:
+    same_ranking = p1.order == p2.order
+    efs1, efs2 = p1.efs, p2.efs
+    pivot = max(p1.order, key=lambda k: abs(efs1[k]))
+    if efs1[pivot] == 0.0:
         # every efs of p1 vanishes: either both profiles are flat zero or no
         # finite scale can relate them
-        if all(v == 0.0 for v in by_edge_2.values()):
+        if all(v == 0.0 for v in efs2):
             return ProfileComparison(same_ranking, 1.0, 0.0)
         return ProfileComparison(same_ranking, None, math.inf)
-    c = by_edge_2[pivot] / by_edge_1[pivot]
+    c = efs2[pivot] / efs1[pivot]
     worst = 0.0
-    for e, v1 in by_edge_1.items():
+    for v1, actual in zip(efs1, efs2):
         predicted = c * v1
-        actual = by_edge_2[e]
         denom = max(abs(predicted), abs(actual))
         if denom > 0.0:
             worst = max(worst, abs(actual - predicted) / denom)
@@ -95,10 +87,13 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
 
 def export_profile_csv(p: RankedProfile) -> str:
     """CSV text "rank,u,v,efs" in rank order, full-precision values."""
-    lines = ["rank,u,v,efs"]
-    for rank, (u, v), value in p.entries:
-        lines.append(f"{rank},{u},{v},{format_weight(value)}")
-    return "\n".join(lines) + "\n"
+    n, efs = p.n, p.efs
+    pairs = [f"{u},{v}" for u in range(n) for v in range(u + 1, n)]
+    rows = [
+        f"{rank},{pairs[k]},{format_weight(efs[k])}"
+        for rank, k in enumerate(p.order, start=1)
+    ]
+    return "rank,u,v,efs\n" + "\n".join(rows) + "\n"
 
 
 def parse_profile_csv(text: str) -> RankedProfile:
@@ -106,7 +101,9 @@ def parse_profile_csv(text: str) -> RankedProfile:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != "rank,u,v,efs":
         raise GraphSyntaxError("expected header 'rank,u,v,efs'", 1)
-    entries: list[ProfileEntry] = []
+    ranks: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    values: list[float] = []
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
         if len(parts) != 4:
@@ -116,15 +113,20 @@ def parse_profile_csv(text: str) -> RankedProfile:
             value = float(parts[3])
         except ValueError:
             raise GraphSyntaxError(f"bad row {line!r}", line_no) from None
-        entries.append(ProfileEntry(rank, EdgeKey(u, v), value))
-    count = len(entries)
+        ranks.append(rank)
+        pairs.append((u, v))
+        values.append(value)
+    count = len(values)
     # count = n(n-1)/2 determines the order
     n = (1 + math.isqrt(1 + 8 * count)) // 2
     if n * (n - 1) // 2 != count or n < 3:
         raise GraphSyntaxError(f"{count} rows is not a complete edge set", 1)
-    edges = {entry.edge for entry in entries}
-    if edges != {EdgeKey(u, v) for u in range(n) for v in range(u + 1, n)}:
+    order = tuple(_pair_index(n, u, v) if 0 <= u < v < n else -1 for u, v in pairs)
+    if sorted(order) != list(range(count)):
         raise GraphSyntaxError(f"rows do not cover all pairs of 0..{n - 1}", 1)
-    if [entry.rank for entry in entries] != list(range(1, count + 1)):
+    if ranks != list(range(1, count + 1)):
         raise GraphSyntaxError("ranks must be consecutive from 1", 1)
-    return RankedProfile(n, tuple(entries))
+    efs = [0.0] * count
+    for k, value in zip(order, values):
+        efs[k] = value
+    return RankedProfile(n, order, tuple(efs))

@@ -12,7 +12,7 @@ import itertools
 import math
 from typing import Iterator
 
-from extrafactorial import CompleteWeightedGraph, build_graph
+from extrafactorial import CompleteWeightedGraph, EfsBreakdown, build_graph
 
 # 4-vertex worked example (vertex letters A, B, C, D map to 0..3)
 GRAPH4_WEIGHTS = {
@@ -104,6 +104,28 @@ def oracle_mean_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> flo
         if key not in cycle_edge_set(c)
     ]
     return math.fsum(lengths) / len(lengths)
+
+
+def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
+    """Reference form of ``efs_breakdown`` that sums the edge classes directly.
+
+    O(n^2) per edge; an independent cross-check of the package's
+    strength-based closed form (the two must agree to floating precision).
+    """
+    key = g.edge(*e)
+    ends = set(key)
+    x1 = g.weight(*key)
+    intersecting: list[float] = []
+    disjoint: list[float] = []
+    for other, w in g.items():
+        shared = len(ends & set(other))
+        if shared == 1:
+            intersecting.append(w)
+        elif shared == 0:
+            disjoint.append(w)
+    x2 = math.fsum(intersecting)
+    x3 = math.fsum(disjoint)
+    return EfsBreakdown(key, x1, x2, x3, (g.n - 2) * x1 + x2 + 2.0 * x3)
 
 
 def rel_close(value: float, reference: float, tol: float = 1e-9) -> bool:

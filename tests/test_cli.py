@@ -98,6 +98,12 @@ class TestEnumerate:
     def test_limit(self, g5_file, capsys):
         assert run(["enumerate", g5_file, "--limit", "4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
+        assert run(["enumerate", g5_file, "--limit", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["enumerate", g5_file, "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
 
     def test_cap_refusal(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
@@ -214,6 +220,15 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "MissingEdge" in captured.err
+
+    def test_order_header_far_beyond_edge_lines(self, tmp_path, capsys):
+        # the header alone must not size an allocation: 5e17 pairs promised
+        huge = tmp_path / "huge.txt"
+        huge.write_text("n 1000000000\n0 1 1\n")
+        assert run(["stats", str(huge)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MissingEdge: no weight for edge (0, 2)\n"
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0

@@ -15,7 +15,6 @@ from extrafactorial import (
     edge_statistics,
     efs_all,
     efs_breakdown,
-    efs_breakdown_explicit,
     enumerate_all,
     extra_factorial_sum,
     mean_length_all,
@@ -32,6 +31,7 @@ from extrafactorial.errors import (
     VertexOutOfRange,
 )
 from oracles import (
+    efs_breakdown_explicit,
     make_uniform_graph,
     make_zero_graph,
     oracle_mean_all,
@@ -123,7 +123,7 @@ class TestOracleEquivalence:
 
 class TestEfsAll:
     def test_sample4_values(self, graph4):
-        table = {tuple(e): bd.efs for e, bd in efs_all(graph4).items()}
+        table = dict(zip(graph4.edges(), efs_all(graph4)))
         assert table == {
             (0, 1): 52.0,
             (0, 2): 51.0,
@@ -137,12 +137,14 @@ class TestEfsAll:
         assert len(efs_all(random_graph(14, 3))) == 91
 
     def test_zero_graph(self):
-        assert all(bd.efs == 0.0 for bd in efs_all(make_zero_graph(6)).values())
+        assert all(efs == 0.0 for efs in efs_all(make_zero_graph(6)))
 
     def test_agrees_with_single_edge_path(self, graph5):
         table = efs_all(graph5)
-        for e in graph5.edges():
-            assert table[e] == efs_breakdown(graph5, e)
+        assert len(table) == graph5.edge_count
+        for k, e in enumerate(graph5.edges()):
+            # bit-equal: one formula, same arithmetic order on both paths
+            assert table[k] == efs_breakdown(graph5, e).efs
 
 
 class TestSummationalGraph:

@@ -70,6 +70,16 @@ class TestBuildGraph:
         with pytest.raises(MissingEdge):
             build_graph(4, entries)
 
+    def test_order_far_beyond_entries(self):
+        # 5e17 pairs promised, one given: no slot per promised pair is allocated
+        with pytest.raises(MissingEdge, match=r"no weight for edge \(0, 2\)"):
+            build_graph(10**9, [((0, 1), 1.0)])
+        # the entries are still validated before the missing pair is named
+        with pytest.raises(NonFiniteWeight):
+            build_graph(10**9, [((0, 1), math.inf)])
+        with pytest.raises(DuplicateEdge):
+            build_graph(10**9, [((0, 1), 1.0), ((1, 0), 2.0)])
+
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             build_graph(2, [((0, 1), 1.0)])
@@ -242,6 +252,16 @@ class TestRandomGraph:
     def test_bad_range(self):
         with pytest.raises(BadRange):
             random_graph(5, 1, 2.0, 1.0)
+
+    def test_order_far_beyond_entries(self):
+        # 5e17 pairs promised, one given: no slot per promised pair is allocated
+        with pytest.raises(MissingEdge, match=r"no weight for edge \(0, 2\)"):
+            build_graph(10**9, [((0, 1), 1.0)])
+        # the entries are still validated before the missing pair is named
+        with pytest.raises(NonFiniteWeight):
+            build_graph(10**9, [((0, 1), math.inf)])
+        with pytest.raises(DuplicateEdge):
+            build_graph(10**9, [((0, 1), 1.0), ((1, 0), 2.0)])
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):

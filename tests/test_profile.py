@@ -30,7 +30,9 @@ def graphs(draw, min_n=3, max_n=7, bound=100.0):
 class TestRankedProfile:
     def test_sample4_order(self, graph4):
         p = ranked_profile(graph4)
-        assert [(r, tuple(e), v) for r, e, v in p.entries] == [
+        edges = p.edge_sequence()
+        ranked = [(r, tuple(edges[r - 1]), p.efs[k]) for r, k in enumerate(p.order, 1)]
+        assert ranked == [
             (1, (0, 3), 49.0),
             (2, (1, 2), 49.0),
             (3, (0, 2), 51.0),
@@ -41,22 +43,21 @@ class TestRankedProfile:
 
     def test_entry_count_n14(self):
         p = ranked_profile(random_graph(14, 5))
-        assert len(p.entries) == 91
-        assert [e.rank for e in p.entries] == list(range(1, 92))
+        assert len(p.order) == len(p.efs) == 91
+        assert sorted(p.order) == list(range(91))
 
     def test_zero_graph_is_lexicographic(self):
         p = ranked_profile(make_zero_graph(5))
-        assert all(entry.efs == 0.0 for entry in p.entries)
+        assert all(efs == 0.0 for efs in p.efs)
         assert p.edge_sequence() == tuple(make_zero_graph(5).edges())
 
     @given(graphs())
     @settings(max_examples=40)
     def test_is_permutation_of_efs_all(self, g):
         p = ranked_profile(g)
-        from_profile = {(entry.edge, entry.efs) for entry in p.entries}
-        from_table = {(e, bd.efs) for e, bd in efs_all(g).items()}
-        assert from_profile == from_table
-        values = [entry.efs for entry in p.entries]
+        assert p.efs == efs_all(g)
+        assert sorted(p.order) == list(range(len(p.efs)))
+        values = [p.efs[k] for k in p.order]
         assert values == sorted(values)
 
 
@@ -120,7 +121,7 @@ class TestScalingInvariance:
     def test_sample4_tie_groups_under_negation(self, graph4):
         # efs ties (49, 49), (51, 51), (52, 52) stay lexicographic per group
         backward = ranked_profile(graph4.scale(-1.0))
-        assert [tuple(e.edge) for e in backward.entries] == [
+        assert [tuple(e) for e in backward.edge_sequence()] == [
             (0, 1),
             (2, 3),
             (0, 2),
