@@ -24,7 +24,6 @@ from .cycles import (
 from .efs import (
     EdgeStatistics,
     EfsBreakdown,
-    SummationalGraph,
     derived_graph,
     edge_statistics,
     efs_all,
@@ -67,7 +66,6 @@ __all__ = [
     "HamiltonianCycle",
     "ProfileComparison",
     "RankedProfile",
-    "SummationalGraph",
     "brute_force_sum_through",
     "build_graph",
     "canonicalize",

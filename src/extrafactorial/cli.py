@@ -8,8 +8,8 @@ Subcommands
     compare    rank/scale comparison of two graphs' profiles
     gen        seeded random graph written in the text format
 
-Exit codes: 0 success, 1 domain error (bad graph, cap exceeded, failed
-verification), 2 usage error (bad flags, unreadable file).
+Exit codes: 0 success, 1 domain error (bad graph, cap exceeded, arithmetic
+overflow, failed verification), 2 usage error (bad flags, unreadable file).
 """
 
 from __future__ import annotations
@@ -108,29 +108,23 @@ def _cmd_efs(args: argparse.Namespace) -> int:
         sys.stdout.write(export_profile_csv(ranked_profile(g)))
         return 0
     bd = efs_breakdown(g, args.edge)
-    mean_not = None if g.n == 3 else mean_length_not_through(g, bd.edge)
+    fields = {
+        "x1": bd.x1,
+        "x2": bd.x2,
+        "x3": bd.x3,
+        "efs": bd.efs,
+        "mean_through": bd.efs / (g.n - 2),
+        "mean_not_through": None if g.n == 3 else mean_length_not_through(g, bd.edge),
+    }
     if args.csv:
-        row = [
-            str(bd.edge.u),
-            str(bd.edge.v),
-            format_weight(bd.x1),
-            format_weight(bd.x2),
-            format_weight(bd.x3),
-            format_weight(bd.efs),
-            format_weight(bd.efs / (g.n - 2)),
-            "" if mean_not is None else format_weight(mean_not),
-        ]
-        print("u,v,x1,x2,x3,efs,mean_through,mean_not_through")
-        print(",".join(row))
+        print(",".join(["u", "v", *fields]))
+        values = ("" if x is None else format_weight(x) for x in fields.values())
+        print(",".join([str(bd.edge.u), str(bd.edge.v), *values]))
         return 0
     print(f"edge {bd.edge.u},{bd.edge.v}")
-    print(f"x1 {_fmt(bd.x1)}")
-    print(f"x2 {_fmt(bd.x2)}")
-    print(f"x3 {_fmt(bd.x3)}")
-    print(f"efs {_fmt(bd.efs)}")
-    print(f"mean_through {_fmt(bd.efs / (g.n - 2))}")
-    if mean_not is not None:
-        print(f"mean_not_through {_fmt(mean_not)}")
+    for name, x in fields.items():
+        if x is not None:
+            print(f"{name} {_fmt(x)}")
     return 0
 
 
@@ -207,7 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bd = efs_breakdown(g, e)
         if not _close(bd.x1 + bd.x2 + bd.x3, g.total_weight):
             partition_ok = False
-        if not _close(summational_graph(g, e).total_weight(), oracle_sum):
+        if not _close(summational_graph(g, e).total_weight, oracle_sum):
             summational_ok = False
         if n > 3:
             oracle_complement = (lengths_sum - oracle_sum) / (
@@ -342,7 +336,7 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except XfsError as exc:
+    except (XfsError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

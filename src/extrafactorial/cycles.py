@@ -6,7 +6,9 @@ endpoints through the new vertex. Seeding with the triangle [0, 1, 2] and
 inserting the remaining vertices in ascending order visits every dihedral
 equivalence class exactly once, because deleting the last-inserted vertex
 recovers a unique parent. Constrained variants protect one or two edges from
-breaking, which restricts the output to the cycles traversing them.
+breaking, which restricts the output to the cycles traversing them; they seed
+with every cycle on the protected edges' vertices (topped up to three) that
+traverses all of them.
 
 Streams are generated depth-first, so memory stays O(n^2) regardless of the
 factorial number of cycles produced.
@@ -17,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, permutations
 from typing import Iterable, Iterator
 
 from .errors import (
-    DegenerateAdjacentPair,
     EnumerationCapExceeded,
     NotAPermutation,
     OrderMismatch,
@@ -157,6 +159,25 @@ def _check_order(n: int, max_order: int | None) -> None:
         )
 
 
+def _stream(n: int, protected: frozenset[EdgeKey]) -> Iterator[HamiltonianCycle]:
+    # seeds: every canonical cycle on the protected edges' vertices, topped up
+    # to three with the smallest free vertices, that traverses them all;
+    # chain.from_iterable adds no generator frame per yielded cycle
+    used = sorted({v for e in protected for v in e})
+    free = [v for v in range(n) if v not in used]
+    top_up = max(0, 3 - len(used))
+    on_seeds = used + free[:top_up]
+    seeds = sorted(
+        {
+            c
+            for c in map(_canonical, permutations(on_seeds))
+            if protected.issubset(HamiltonianCycle(c).edges())
+        }
+    )
+    pending = tuple(free[top_up:])
+    return chain.from_iterable(_expand(seed, pending, protected) for seed in seeds)
+
+
 def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[HamiltonianCycle]:
     """All (n-1)!/2 Hamiltonian cycles of the order-n complete graph.
 
@@ -164,7 +185,7 @@ def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[Hamiltoni
     inserted in ascending order, children visited in parent-edge order.
     """
     _check_order(n, max_order)
-    return _expand((0, 1, 2), tuple(range(3, n)), frozenset())
+    return _stream(n, frozenset())
 
 
 def enumerate_through_edge(
@@ -179,9 +200,7 @@ def enumerate_through_edge(
     if key.v >= n:
         raise VertexOutOfRange(f"vertex {key.v} not in [0, {n})")
     _check_order(n, max_order)
-    rest = [v for v in range(n) if v not in key]
-    seed = _canonical((key.u, key.v, rest[0]))
-    return _expand(seed, tuple(rest[1:]), frozenset((key,)))
+    return _stream(n, frozenset((key,)))
 
 
 class EdgePairKind(Enum):
@@ -218,31 +237,7 @@ def enumerate_through_pair(
     if max(a.v, b.v) >= n:
         raise VertexOutOfRange(f"vertex {max(a.v, b.v)} not in [0, {n})")
     _check_order(n, max_order)
-    protected = frozenset((a, b))
-    if kind is EdgePairKind.ADJACENT:
-        (shared,) = set(a) & set(b)
-        outer = [v for v in (*a, *b) if v != shared]
-        if outer[0] == outer[1]:
-            raise DegenerateAdjacentPair(
-                f"outer endpoints of {tuple(a)} and {tuple(b)} coincide"
-            )
-        seeds = [_canonical((outer[0], shared, outer[1]))]
-        used = {shared, *outer}
-    else:
-        seeds = sorted(
-            {
-                _canonical((a.u, a.v, b.u, b.v)),
-                _canonical((a.u, a.v, b.v, b.u)),
-            }
-        )
-        used = {*a, *b}
-    pending = tuple(v for v in range(n) if v not in used)
-
-    def stream() -> Iterator[HamiltonianCycle]:
-        for seed in seeds:
-            yield from _expand(seed, pending, protected)
-
-    return kind, stream()
+    return kind, _stream(n, frozenset((a, b)))
 
 
 def count_all(n: int) -> int:

@@ -88,26 +88,14 @@ def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SummationalGraph:
-    """Copy of a graph with weights multiplied by each edge's cycle multiplicity.
+def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteWeightedGraph:
+    """Copy of `g` with weights multiplied by each edge's cycle multiplicity.
 
-    Relative to the base edge: the base edge's weight carries (n-2)!, each
+    Relative to the base edge `e`: its own weight carries (n-2)!, each
     intersecting edge (n-3)!, each disjoint edge 2(n-3)!. The multiplied
     weights therefore total exactly the summed lengths of the cycles through
-    the base edge.
+    `e`. Raises NonFiniteWeight when a product overflows.
     """
-
-    base_edge: EdgeKey
-    n: int
-    weights: dict[EdgeKey, float]
-
-    def total_weight(self) -> float:
-        return math.fsum(self.weights.values())
-
-
-def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> SummationalGraph:
-    """Weight-multiplied copy of `g` for edge `e` (see SummationalGraph)."""
     key = g.edge(*e)
     if g.n > MAX_SUMMATIONAL_ORDER:
         raise FactorialOverflow(
@@ -118,15 +106,15 @@ def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> Summation
     through = float(math.factorial(g.n - 2))
     touching = float(math.factorial(g.n - 3))
     apart = 2.0 * touching
-    multiplied: dict[EdgeKey, float] = {}
+    multiplied: list[float] = []
     for other, w in g.items():
         if other == key:
-            multiplied[other] = through * w
+            multiplied.append(through * w)
         elif ends & set(other):
-            multiplied[other] = touching * w
+            multiplied.append(touching * w)
         else:
-            multiplied[other] = apart * w
-    return SummationalGraph(key, g.n, multiplied)
+            multiplied.append(apart * w)
+    return CompleteWeightedGraph(g.n, tuple(multiplied))
 
 
 def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:

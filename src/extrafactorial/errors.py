@@ -81,10 +81,6 @@ class SameEdge(XfsError):
     """An edge pair must consist of two different edges."""
 
 
-class DegenerateAdjacentPair(XfsError):
-    """Adjacent edge pair whose outer endpoints coincide."""
-
-
 # closed-form statistics
 
 

@@ -124,7 +124,7 @@ def test_criterion_4_oracle_equivalence_sweep():
                     oracle_sum = brute_force_sum_through(g, e)
                     assert rel_close(extra_factorial_sum(g, e) * shrink, oracle_sum)
                     assert rel_close(
-                        summational_graph(g, e).total_weight(), oracle_sum
+                        summational_graph(g, e).total_weight, oracle_sum
                     )
                     oracle_complement = (total_length - oracle_sum) / (
                         cycles_total - through_total

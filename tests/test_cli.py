@@ -1,6 +1,6 @@
 import pytest
 
-from extrafactorial import parse_graph, serialize_graph
+from extrafactorial import parse_graph, random_graph, serialize_graph
 from extrafactorial.cli import run
 from oracles import make_graph4, make_graph5
 
@@ -229,6 +229,22 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: MissingEdge: no weight for edge (0, 2)\n"
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # finite weights whose total exceeds the double range
+            ("stats", "n 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n"),
+            # finite cycle lengths whose oracle sum exceeds it
+            ("verify", serialize_graph(random_graph(5, 1).scale(1e307))),
+        ],
+    )
+    def test_arithmetic_overflow_is_domain_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "overflow.txt"
+        path.write_text(text)
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: OverflowError: intermediate overflow in fsum\n"
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0

@@ -27,6 +27,7 @@ from extrafactorial import (
 from extrafactorial.errors import (
     FactorialOverflow,
     NoComplementCycles,
+    NonFiniteWeight,
     SelfLoop,
     VertexOutOfRange,
 )
@@ -150,31 +151,30 @@ class TestEfsAll:
 class TestSummationalGraph:
     def test_sample5_multipliers(self, graph5):
         sg = summational_graph(graph5, (0, 1))
-        assert sg.base_edge == EdgeKey(0, 1)
-        assert sg.weights[EdgeKey(0, 1)] == 24.0  # 6 * 4, the edge itself
-        assert sg.weights[EdgeKey(0, 4)] == 1.0  # 2 * 0.5, intersecting
-        assert sg.weights[EdgeKey(3, 4)] == 28.0  # 4 * 7, disjoint
-        assert sg.total_weight() == pytest.approx(394.2, rel=1e-9)
+        assert sg.weight(0, 1) == 24.0  # 6 * 4, the edge itself
+        assert sg.weight(0, 4) == 1.0  # 2 * 0.5, intersecting
+        assert sg.weight(3, 4) == 28.0  # 4 * 7, disjoint
+        assert sg.total_weight == pytest.approx(394.2, rel=1e-9)
 
     def test_sample4(self, graph4):
         sg = summational_graph(graph4, (0, 1))
-        assert sg.weights[EdgeKey(0, 1)] == 24.0
+        assert sg.weight(0, 1) == 24.0
         # (n-3)! = 1 leaves intersecting weights unchanged
-        assert sg.weights[EdgeKey(0, 2)] == graph4.weight(0, 2)
-        assert sg.weights[EdgeKey(2, 3)] == 2.0 * graph4.weight(2, 3)
-        assert sg.total_weight() == pytest.approx(52.0, rel=1e-9)
+        assert sg.weight(0, 2) == graph4.weight(0, 2)
+        assert sg.weight(2, 3) == 2.0 * graph4.weight(2, 3)
+        assert sg.total_weight == pytest.approx(52.0, rel=1e-9)
 
     def test_order3_unchanged(self):
         g = make_uniform_graph(3, 1.5)
         sg = summational_graph(g, (0, 1))
-        assert all(sg.weights[e] == g.weight(*e) for e in g.edges())
+        assert all(sg.weight(*e) == g.weight(*e) for e in g.edges())
 
     def test_total_matches_brute_force(self):
         for n in range(4, 7):
             g = random_graph(n, n, -5.0, 5.0)
             for e in g.edges():
                 assert rel_close(
-                    summational_graph(g, e).total_weight(),
+                    summational_graph(g, e).total_weight,
                     brute_force_sum_through(g, e),
                 )
 
@@ -183,7 +183,13 @@ class TestSummationalGraph:
         with pytest.raises(FactorialOverflow):
             summational_graph(g, (0, 1))
         # order 170 is still within the exact double range
-        assert summational_graph(make_zero_graph(170), (0, 1)).total_weight() == 0.0
+        assert summational_graph(make_zero_graph(170), (0, 1)).total_weight == 0.0
+
+    def test_overflowing_product_is_non_finite_weight(self):
+        # 7! * 1e305 exceeds the double range
+        g = CompleteWeightedGraph(9, (1e305,) * 36)
+        with pytest.raises(NonFiniteWeight):
+            summational_graph(g, (0, 1))
 
 
 class TestMeans:

@@ -1,10 +1,12 @@
-"""Golden CLI output: exact bytes of `xfs efs`, `xfs compare` and `xfs stats`.
+"""Golden CLI output: exact bytes of `xfs efs`, `compare`, `stats` and `enumerate`.
 
 The tie-heavy integer graph w(u, v) = (7u + 3v) mod 5 takes only five weight
 values, so most efs values are shared by many edges: its profile pins the
 (u, v) tie-break of the ranking, and its comparisons pin the choice of the
 scale pivot among equal-magnitude edges. The random order-60 graph pins the
-full-precision values. Long outputs are pinned by SHA-256 digest.
+full-precision values. The order-6 enumerations pin the order in which each
+stream visits its seed cycles and inserts the remaining vertices. Long outputs
+are pinned by SHA-256 digest.
 """
 
 import hashlib
@@ -46,6 +48,7 @@ GRAPHS = {
     "r60": lambda: random_graph(60, 2016, -10.0, 10.0),
     "r60b": lambda: random_graph(60, 2017, -10.0, 10.0),
     "r60neg": lambda: random_graph(60, 2016, -10.0, 10.0).scale(-3.0),
+    "r6": lambda: random_graph(6, 2016, -10.0, 10.0),
 }
 
 
@@ -108,3 +111,25 @@ def test_compare_bytes(files, capsys, a, b, expected):
 )
 def test_stats_bytes(files, capsys, graph, expected):
     assert stdout_of(capsys, ["stats", files[graph]]) == expected
+
+
+@pytest.mark.parametrize(
+    "flags, size, first, digest",
+    [
+        ([], 1775, "0-4-2-1-3-5-0  7.77767041527",
+         "270c4b46d77b045a6bbc947c2450d4f186b87707e4a0fd881c0e24a893cffd34"),
+        (["--through", "0,3"], 708, "0-3-5-1-2-4-0  7.78106461532",
+         "54e0dd525b640000356f1b5d0b58a1f372cae8a1bbb563fbf218bd2548cc44f8"),
+        (["--through", "2,5"], 704, "0-4-3-1-2-5-0  10.388503612",
+         "4ae11d43daf51b6904426033b9ccc9ebabec3fb979c50461ed85727d7bdff9b5"),
+        (["--pair", "0,1,1,2"], 174, "0-1-2-5-4-3-0  5.9268394041",
+         "6a95c10dc3215a2e54a02a6c69c0e6f1ea5bd2b061beda8fb7dfda202b2539b0"),
+        (["--pair", "1,4,2,3"], 359, "0-2-3-4-1-5-0  -30.904524636",
+         "8420817c51986ae78877de1cf78ac62878187f4e4f680863bdbfe3c17dec0e24"),
+    ],
+)
+def test_enumerate_bytes(files, capsys, flags, size, first, digest):
+    out = stdout_of(capsys, ["enumerate", files["r6"], *flags])
+    assert out.splitlines()[0] == first
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
