@@ -94,11 +94,16 @@ def _load(path: str) -> CompleteWeightedGraph:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _load(args.file)
-    print(f"order {g.n}")
-    print(f"edges {g.edge_count}")
-    print(f"total_weight {_fmt(g.total_weight)}")
-    print(f"mean_length {_fmt(mean_length_all(g))}")
-    print(f"mean_squared_length {_fmt(mean_squared_length(g))}")
+    # every value is computed before any is printed, so an arithmetic error
+    # leaves stdout empty
+    lines = [
+        f"order {g.n}",
+        f"edges {g.edge_count}",
+        f"total_weight {_fmt(g.total_weight)}",
+        f"mean_length {_fmt(mean_length_all(g))}",
+        f"mean_squared_length {_fmt(mean_squared_length(g))}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -152,16 +157,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cap = args.max_n_override
     quiet = args.quiet
     failures = 0
+    # the report is written only once every check has run, so an arithmetic
+    # error leaves stdout empty
+    lines: list[str] = []
 
     def report(name: str, ok: bool, detail: str = "") -> None:
         nonlocal failures
         if ok:
             if not quiet:
-                print(f"PASS {name}")
+                lines.append(f"PASS {name}")
         else:
             failures += 1
             suffix = f": {detail}" if detail else ""
-            print(f"FAIL {name}{suffix}")
+            lines.append(f"FAIL {name}{suffix}")
 
     total_cycles = sum(1 for _ in enumerate_all(n, max_order=cap))
     report(
@@ -238,6 +246,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sum(1 for _ in stream) == count_through_pair(n, kind),
         )
 
+    for line in lines:
+        print(line)
     return 1 if failures else 0
 
 

@@ -264,7 +264,11 @@ def count_through_pair(n: int, kind: EdgePairKind) -> int:
 
 
 def cycle_length(g: CompleteWeightedGraph, cycle: HamiltonianCycle) -> float:
-    """Sum of the n edge weights along the closed walk."""
+    """Sum of the n edge weights along the closed walk.
+
+    Raises OverflowError when the sum leaves the double range: the weights
+    are finite, so a non-finite length is an overflow, not a value.
+    """
     verts = cycle.vertices
     n = g.n
     if len(verts) != n:
@@ -276,6 +280,8 @@ def cycle_length(g: CompleteWeightedGraph, cycle: HamiltonianCycle) -> float:
         u, x = (prev, v) if prev < v else (v, prev)
         total += w[u * (2 * n - u - 1) // 2 + (x - u - 1)]
         prev = v
+    if not math.isfinite(total):
+        raise OverflowError(f"length of cycle {cycle} overflows the double range")
     return total
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -139,32 +138,48 @@ def build_graph(
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
     m = n * (n - 1) // 2
-    entries = list(entries)
-    # Fewer entries than pairs must leave a pair without a weight. The table
-    # is then sized by the entries, not by the order, which a file header can
-    # set arbitrarily high; a missing slot reads as None either way.
-    slots: list[float | None] | defaultdict[int, None] = (
-        [None] * m if len(entries) >= m else defaultdict(type(None))
-    )
+    # One pass. `weights` is the filled prefix of the row-major pairs and
+    # (u, v) the pair that extends it: an entry for that pair is appended
+    # without normalizing, and any other waits in `pending`, keyed by pair
+    # index, until the prefix reaches it. Nothing is sized by n, which a file
+    # header can set arbitrarily high.
+    weights: list[float] = []
+    pending: dict[int, float] = {}
+    u, v = 0, 1
     for raw, value in entries:
-        e = edge_key(*raw)
-        if e.v >= n:
-            raise VertexOutOfRange(f"vertex {e.v} not in [0, {n})")
+        a, b = raw
+        if a == u and b == v:
+            k = len(weights)
+        else:
+            a, b = edge_key(a, b)
+            if b >= n:
+                raise VertexOutOfRange(f"vertex {b} not in [0, {n})")
+            k = _pair_index(n, a, b)
         w = float(value)
         if not math.isfinite(w):
-            raise NonFiniteWeight(f"weight {value!r} for edge {tuple(e)} is not finite")
-        k = _pair_index(n, e.u, e.v)
-        if slots[k] is not None and slots[k] != w:
-            raise DuplicateEdge(
-                f"edge {tuple(e)} given twice with {slots[k]!r} and {w!r}"
-            )
-        slots[k] = w
-    k = next((k for k in range(m) if slots[k] is None), None)
-    if k is not None:
-        u = next(u for u in range(n) if _pair_index(n, u, n - 1) >= k)
-        v = k - _pair_index(n, u, u + 1) + u + 1
+            raise NonFiniteWeight(f"weight {value!r} for edge {(a, b)} is not finite")
+        if k == len(weights):
+            weights.append(w)
+            while True:
+                v += 1
+                if v == n:
+                    u += 1
+                    # past the last pair no entry may extend the prefix
+                    v = u + 1 if u < n - 1 else None
+                if len(weights) not in pending:
+                    break
+                weights.append(pending.pop(len(weights)))
+        else:
+            old = weights[k] if k < len(weights) else pending.get(k)
+            if old is not None and old != w:
+                raise DuplicateEdge(f"edge {(a, b)} given twice with {old!r} and {w!r}")
+            if k < len(weights):
+                weights[k] = w
+            else:
+                pending[k] = w
+    if len(weights) < m:
         raise MissingEdge(f"no weight for edge ({u}, {v})")
-    return CompleteWeightedGraph(n, tuple(slots))  # type: ignore[arg-type]
+    return CompleteWeightedGraph(n, tuple(weights))
 
 
 def format_weight(x: float) -> str:
@@ -174,12 +189,27 @@ def format_weight(x: float) -> str:
     return repr(x)
 
 
+def format_weights(values: Iterable[float]) -> list[str]:
+    """``format_weight`` of each value, as a new list.
+
+    A finite value that is not integral formats as its ``repr``; only the
+    others pay for ``format_weight``, which also raises on NaN and infinities.
+    """
+    isfinite = math.isfinite
+    return [
+        format_weight(x) if x.is_integer() or not isfinite(x) else repr(x)
+        for x in values
+    ]
+
+
 def serialize_graph(g: CompleteWeightedGraph) -> str:
     """Text form of a graph; ``parse_graph`` inverts it exactly."""
-    lines = [f"n {g.n}"]
-    for (u, v), w in g.items():
-        lines.append(f"{u} {v} {format_weight(w)}")
-    return "\n".join(lines) + "\n"
+    lines = format_weights(g.weights)
+    for k, (u, v) in enumerate(g.edges()):
+        lines[k] = f"{u} {v} {lines[k]}"
+    lines.insert(0, f"n {g.n}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_graph(text: str) -> CompleteWeightedGraph:
@@ -191,7 +221,11 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     All pairs must be present, in any order.
     """
     n: int | None = None
-    entries: list[tuple[tuple[int, int], float]] = []
+    # three flat columns: their ints and floats are not tracked by the cyclic
+    # garbage collector, as a tuple per line would be
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -209,13 +243,14 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
         if len(tokens) != 3:
             raise GraphSyntaxError("expected '<u> <v> <weight>'", line_no)
         try:
-            u, v, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            us.append(int(tokens[0]))
+            vs.append(int(tokens[1]))
+            ws.append(float(tokens[2]))
         except ValueError:
             raise GraphSyntaxError(f"bad edge line {line!r}", line_no) from None
-        entries.append(((u, v), w))
     if n is None:
         raise GraphSyntaxError("missing 'n <order>' header", max(line_no, 1))
-    return build_graph(n, entries)
+    return build_graph(n, zip(zip(us, vs), ws))
 
 
 def random_graph(

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 from .efs import efs_all
 from .errors import GraphSyntaxError, OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, format_weight
+from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, format_weights
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
+
+#: Rows per block of CSV text that ``export_profile_csv`` builds at a time.
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,25 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
 
 def export_profile_csv(p: RankedProfile) -> str:
     """CSV text "rank,u,v,efs" in rank order, full-precision values."""
-    n, efs = p.n, p.efs
-    pairs = [f"{u},{v}" for u in range(n) for v in range(u + 1, n)]
-    rows = [
-        f"{rank},{pairs[k]},{format_weight(efs[k])}"
-        for rank, k in enumerate(p.order, start=1)
-    ]
-    return "rank,u,v,efs\n" + "\n".join(rows) + "\n"
+    n = p.n
+    # "u,v,efs" cells are built in edge order, which reads efs in sequence;
+    # only the rank prefix follows rank order
+    cells = format_weights(p.efs)
+    k = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            cells[k] = f"{u},{v},{cells[k]}"
+            k += 1
+    # rows are joined a block at a time, so that the row strings of only one
+    # block live beside the cells
+    order = p.order
+    blocks = ["rank,u,v,efs"]
+    for start in range(0, len(order), _CSV_BLOCK_ROWS):
+        ranked = enumerate(order[start : start + _CSV_BLOCK_ROWS], start=start + 1)
+        blocks.append("\n".join([f"{rank},{cells[k]}" for rank, k in ranked]))
+    del cells
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def parse_profile_csv(text: str) -> RankedProfile:

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from collections import defaultdict
+from typing import Iterable, Iterator
 
-from extrafactorial import CompleteWeightedGraph, EfsBreakdown, build_graph
+from extrafactorial import CompleteWeightedGraph, EfsBreakdown, build_graph, edge_key
+from extrafactorial.errors import (
+    DuplicateEdge,
+    MissingEdge,
+    NonFiniteWeight,
+    OrderTooSmall,
+    VertexOutOfRange,
+)
+from extrafactorial.graph import _pair_index
 
 # 4-vertex worked example (vertex letters A, B, C, D map to 0..3)
 GRAPH4_WEIGHTS = {
@@ -131,3 +140,42 @@ def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsB
 def rel_close(value: float, reference: float, tol: float = 1e-9) -> bool:
     """|value - reference| <= tol * (1 + |reference|)."""
     return abs(value - reference) <= tol * (1.0 + abs(reference))
+
+
+def build_graph_slots(
+    n: int, entries: Iterable[tuple[tuple[int, int], float]]
+) -> CompleteWeightedGraph:
+    """Reference ``build_graph``: collect the entries, then fill a table of
+    pair slots and look for the first empty one.
+
+    The package builds the same graph, or raises the same error with the same
+    message, in one streaming pass.
+    """
+    if n < 3:
+        raise OrderTooSmall(f"graph order must be >= 3, got {n}")
+    m = n * (n - 1) // 2
+    entries = list(entries)
+    # fewer entries than pairs must leave a pair without a weight; the table
+    # is then sized by the entries, not by the order
+    slots: list[float | None] | defaultdict[int, None] = (
+        [None] * m if len(entries) >= m else defaultdict(type(None))
+    )
+    for raw, value in entries:
+        e = edge_key(*raw)
+        if e.v >= n:
+            raise VertexOutOfRange(f"vertex {e.v} not in [0, {n})")
+        w = float(value)
+        if not math.isfinite(w):
+            raise NonFiniteWeight(f"weight {value!r} for edge {tuple(e)} is not finite")
+        k = _pair_index(n, e.u, e.v)
+        if slots[k] is not None and slots[k] != w:
+            raise DuplicateEdge(
+                f"edge {tuple(e)} given twice with {slots[k]!r} and {w!r}"
+            )
+        slots[k] = w
+    k = next((k for k in range(m) if slots[k] is None), None)
+    if k is not None:
+        u = next(u for u in range(n) if _pair_index(n, u, n - 1) >= k)
+        v = k - _pair_index(n, u, u + 1) + u + 1
+        raise MissingEdge(f"no weight for edge ({u}, {v})")
+    return CompleteWeightedGraph(n, tuple(slots))  # type: ignore[arg-type]

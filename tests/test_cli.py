@@ -1,5 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import extrafactorial
 from extrafactorial import parse_graph, random_graph, serialize_graph
 from extrafactorial.cli import run
 from oracles import make_graph4, make_graph5
@@ -221,14 +228,40 @@ class TestErrors:
         assert captured.out == ""
         assert "MissingEdge" in captured.err
 
-    def test_order_header_far_beyond_edge_lines(self, tmp_path, capsys):
-        # the header alone must not size an allocation: 5e17 pairs promised
+    def test_order_header_far_beyond_edge_lines(self, tmp_path):
+        # the header alone must not size an allocation: 5e17 pairs promised.
+        # The command runs in a child limited to 1 GiB of address space, so
+        # an allocation sized by the header fails this test alone.
         huge = tmp_path / "huge.txt"
         huge.write_text("n 1000000000\n0 1 1\n")
-        assert run(["stats", str(huge)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: MissingEdge: no weight for edge (0, 2)\n"
+        src = str(Path(extrafactorial.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        limit = 1 << 30
+        child = subprocess.run(
+            [sys.executable, "-c", "from extrafactorial.cli import main; main()",
+             "stats", str(huge)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (
+            1, "", "error: MissingEdge: no weight for edge (0, 2)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            # every pair in row-major order; the last weight overflows to inf
+            ("n 3\n0 1 1\n0 2 1\n1 2 1e999\n",
+             "error: NonFiniteWeight: weight inf for edge (1, 2) is not finite\n"),
+            ("n 2\n0 1 1\n", "error: OrderTooSmall: graph order must be >= 3, got 2\n"),
+        ],
+    )
+    def test_rejected_graph_error_line(self, tmp_path, capsys, text, err):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run(["stats", str(path)]) == 1
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(
         "command, text",
@@ -244,7 +277,21 @@ class TestErrors:
         path.write_text(text)
         assert run([command, str(path)]) == 1
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == "error: OverflowError: intermediate overflow in fsum\n"
+
+    def test_cycle_lengths_overflowing_both_ways_are_domain_error(self, tmp_path, capsys):
+        # finite weights whose cycle lengths overflow to inf and to -inf,
+        # which an fsum of the lengths cannot add
+        path = tmp_path / "overflow.txt"
+        path.write_text(
+            "n 4\n0 1 1e308\n0 2 1e308\n1 3 1e308\n0 3 -1e308\n1 2 -1e308\n2 3 -1e308\n"
+        )
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
+        )
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0

@@ -1,12 +1,12 @@
-"""Golden CLI output: exact bytes of `xfs efs`, `compare`, `stats` and `enumerate`.
+"""Golden CLI output: exact bytes of `xfs efs`, `compare`, `stats`, `enumerate` and `gen`.
 
 The tie-heavy integer graph w(u, v) = (7u + 3v) mod 5 takes only five weight
 values, so most efs values are shared by many edges: its profile pins the
 (u, v) tie-break of the ranking, and its comparisons pin the choice of the
 scale pivot among equal-magnitude edges. The random order-60 graph pins the
 full-precision values. The order-6 enumerations pin the order in which each
-stream visits its seed cycles and inserts the remaining vertices. Long outputs
-are pinned by SHA-256 digest.
+stream visits its seed cycles and inserts the remaining vertices. The order-60
+`gen` file pins `serialize_graph`. Long outputs are pinned by SHA-256 digest.
 """
 
 import hashlib
@@ -133,3 +133,13 @@ def test_enumerate_bytes(files, capsys, flags, size, first, digest):
     assert out.splitlines()[0] == first
     assert len(out.encode()) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gen_bytes(tmp_path, capsys):
+    path = tmp_path / "gen60.txt"
+    argv = ["gen", "--n", "60", "--seed", "2016", "--lo", "-10", "--hi", "10", "-o", str(path)]
+    assert stdout_of(capsys, argv) == f"wrote {path} (order 60, 1770 edges)\n"
+    out = path.read_bytes()
+    assert out.startswith(b"n 60\n0 1 4.7585005855403555\n")
+    assert len(out) == 43204
+    assert hashlib.sha256(out).hexdigest() == "b0742966b8ca5ba465871126650eb35002f88c18091fe174ae47032622ebdad8"

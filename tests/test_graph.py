@@ -23,8 +23,10 @@ from extrafactorial.errors import (
     OrderTooSmall,
     SelfLoop,
     VertexOutOfRange,
+    XfsError,
 )
-from oracles import GRAPH4_WEIGHTS, GRAPH5_WEIGHTS, make_zero_graph
+from extrafactorial.graph import format_weights
+from oracles import GRAPH4_WEIGHTS, GRAPH5_WEIGHTS, build_graph_slots, make_zero_graph
 
 
 def finite_weights(bound=1000.0):
@@ -37,6 +39,69 @@ def graphs(draw, min_n=3, max_n=7, bound=1000.0):
     m = n * (n - 1) // 2
     ws = draw(st.lists(finite_weights(bound), min_size=m, max_size=m))
     return CompleteWeightedGraph(n, tuple(ws))
+
+
+#: Few values, so that repeats are often equal; both zeros, so that which
+#: of two equal repeats is kept shows.
+REPEATING_WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+ANY_WEIGHTS = st.one_of(
+    REPEATING_WEIGHTS, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats()
+)
+EDITS = ("drop", "repeat", "move", "flip", "loop", "high", "negative", "weight")
+
+
+@st.composite
+def entry_lists(draw):
+    """(n, entries) for ``build_graph``.
+
+    Starts from every pair of an order-k graph in row-major order, then
+    applies a few edits: a pair dropped, repeated with the same or the negated
+    weight, moved, given as (v, u) or any float, NaN and infinities included,
+    or a self-loop or an out-of-range pair inserted. The list is then kept in
+    order or shuffled. n is k half of the time, else near k, below 3 or far
+    beyond k.
+    """
+    k = draw(st.integers(3, 6))
+    entries = [((u, v), draw(REPEATING_WEIGHTS)) for u in range(k) for v in range(u + 1, k)]
+    edits = st.tuples(
+        st.sampled_from(EDITS), st.integers(0, 99), st.integers(0, 99), st.booleans(), ANY_WEIGHTS
+    )
+    for edit, i, j, same, w in draw(st.lists(edits, max_size=5)):
+        if not entries:
+            break
+        i %= len(entries)
+        j %= len(entries) + 1
+        (u, v), x = entries[i]
+        if edit == "drop":
+            del entries[i]
+        elif edit == "repeat":
+            # negated, a weight conflicts, or for a zero equals with the other sign
+            entries.insert(j, ((u, v), x if same else -x))
+        elif edit == "move":
+            entries.insert(j, entries.pop(i))
+        elif edit == "flip":
+            entries[i] = ((v, u), x)
+        elif edit == "loop":
+            entries.insert(j, ((v, v), x))
+        elif edit == "high":
+            entries.insert(j, ((v, k + i % 2), x))
+        elif edit == "negative":
+            entries.insert(j, ((-1, v), x))
+        else:
+            entries[i] = ((u, v), w)
+    if draw(st.booleans()):
+        entries = draw(st.permutations(entries))
+    n = draw(st.one_of(st.just(k), st.sampled_from([2, k - 1, k + 1, 10**9])))
+    return n, entries
+
+
+def build_outcome(build, n, entries):
+    """The graph's order and exact weights, or the error's type and message."""
+    try:
+        g = build(n, entries)
+    except XfsError as exc:
+        return type(exc), str(exc)
+    return g.n, [w.hex() for w in g.weights]
 
 
 class TestEdgeKey:
@@ -100,6 +165,19 @@ class TestBuildGraph:
             build_graph(
                 3, [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((1, 0), 1.5)]
             )
+        # (0, 2) first arrives out of row-major order, then in it
+        with pytest.raises(DuplicateEdge, match=r"edge \(0, 2\) given twice with 2.0 and 2.5"):
+            build_graph(
+                3, [((0, 2), 2.0), ((0, 1), 1.0), ((0, 2), 2.5), ((1, 2), 3.0)]
+            )
+
+    @given(entry_lists())
+    @settings(max_examples=500)
+    def test_matches_slot_table_reference(self, case):
+        n, entries = case
+        assert build_outcome(build_graph, n, iter(entries)) == build_outcome(
+            build_graph_slots, n, entries
+        )
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteWeight):
@@ -110,6 +188,9 @@ class TestBuildGraph:
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [((0, 3), 1.0), ((0, 2), 2.0), ((1, 2), 3.0)])
+        # the pair after the last one, once every pair has its weight
+        with pytest.raises(VertexOutOfRange, match=r"vertex 3 not in \[0, 3\)"):
+            build_graph(3, [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((2, 3), 1.0)])
 
 
 class TestAccess:
@@ -207,6 +288,30 @@ class TestTextFormat:
             parse_graph("n 3\n0 1\n")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            # the stripped line keeps its inner tabs and repeated spaces
+            ("n 3\n0 1 1\n \t0\t2   two \t\n1 2 1\n", 3, "line 3: bad edge line '0\\t2   two'"),
+            ("n 3\n0 1 1\n0 2\n1 2 1\n", 3, "line 3: expected '<u> <v> <weight>'"),
+            # the first offending line wins over a later one
+            ("n 3\n0 1 x\n0 2\n", 2, "line 2: bad edge line '0 1 x'"),
+            ("# head\r\n\r\nn 3\r\n0 1 1\r\n# c\r\n\r\n0 2 y\r\n", 7, "line 7: bad edge line '0 2 y'"),
+            ("n three\n0 1 1\n", 1, "line 1: bad order 'three'"),
+            ("# only a comment\n\n", 2, "line 2: missing 'n <order>' header"),
+            ("", 1, "line 1: missing 'n <order>' header"),
+        ],
+    )
+    def test_syntax_error_contract(self, text, line_no, message):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_graph(text)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == message
+
+    def test_crlf_comments_and_blanks(self):
+        text = "# head\r\n\r\nn 3\r\n0 1 1\r\n# c\r\n\r\n2 0 2.5\r\n1 2 -3\r\n"
+        assert parse_graph(text) == CompleteWeightedGraph(3, (1.0, 2.5, -3.0))
+
     def test_non_integer_vertex(self):
         with pytest.raises(GraphSyntaxError):
             parse_graph("n 3\n0.5 1 1\n0 2 1\n1 2 1\n")
@@ -233,6 +338,29 @@ class TestTextFormat:
     @settings(max_examples=200)
     def test_format_weight_round_trips(self, x):
         assert float(format_weight(x)) == x
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1e16, -1e16, 2.0**53, 5e-324, -2.2250738585072014e-308]),
+                st.integers(-(2**60), 2**60).map(float),
+                st.floats(min_value=1e16, allow_infinity=False),
+                st.floats(min_value=-1e-307, max_value=1e-307),
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_format_weights_matches_format_weight(self, xs):
+        assert format_weights(xs) == [format_weight(x) for x in xs]
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_format_weights_non_finite_raises_like_format_weight(self, x):
+        with pytest.raises((OverflowError, ValueError)) as expected:
+            format_weight(x)
+        with pytest.raises(expected.type) as got:
+            format_weights([1.5, x])
+        assert str(got.value) == str(expected.value)
 
 
 class TestRandomGraph:
