@@ -133,7 +133,8 @@ def build_graph(
 
     Pairs given as (v, u) with v > u are normalized before insertion. Repeating
     a pair with the identical value is accepted; a conflicting repeat raises
-    DuplicateEdge.
+    DuplicateEdge. Entries in row-major pair order, as ``serialize_graph``
+    writes them, take the fast path; any order gives the same graph.
     """
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
@@ -192,12 +193,15 @@ def format_weight(x: float) -> str:
 def format_weights(values: Iterable[float]) -> list[str]:
     """``format_weight`` of each value, as a new list.
 
-    A finite value that is not integral formats as its ``repr``; only the
-    others pay for ``format_weight``, which also raises on NaN and infinities.
+    A finite float that is not integral formats as its ``repr``; every other
+    value, ints included, pays for ``format_weight``, which also raises on NaN
+    and infinities.
     """
     isfinite = math.isfinite
     return [
-        format_weight(x) if x.is_integer() or not isfinite(x) else repr(x)
+        repr(x)
+        if type(x) is float and isfinite(x) and not x.is_integer()
+        else format_weight(x)
         for x in values
     ]
 

@@ -280,16 +280,26 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: OverflowError: intermediate overflow in fsum\n"
 
+    # finite weights whose cycle lengths overflow to inf and to -inf, which an
+    # fsum of the lengths cannot add
+    BOTH_WAYS = "n 4\n0 1 1e308\n0 2 1e308\n1 3 1e308\n0 3 -1e308\n1 2 -1e308\n2 3 -1e308\n"
+
     def test_cycle_lengths_overflowing_both_ways_are_domain_error(self, tmp_path, capsys):
-        # finite weights whose cycle lengths overflow to inf and to -inf,
-        # which an fsum of the lengths cannot add
         path = tmp_path / "overflow.txt"
-        path.write_text(
-            "n 4\n0 1 1e308\n0 2 1e308\n1 3 1e308\n0 3 -1e308\n1 2 -1e308\n2 3 -1e308\n"
-        )
+        path.write_text(self.BOTH_WAYS)
         assert run(["verify", str(path)]) == 1
         assert capsys.readouterr() == (
             "",
+            "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
+        )
+
+    def test_enumerate_stops_at_first_overflowing_cycle(self, tmp_path, capsys):
+        # enumerate streams: the cycles before the overflowing one stay printed
+        path = tmp_path / "overflow.txt"
+        path.write_text(self.BOTH_WAYS)
+        assert run(["enumerate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "0-2-1-3-0  0\n",
             "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
         )
 

@@ -329,6 +329,10 @@ class TestTextFormat:
         assert lines[1] == "0 1 12"
         assert len(lines) == 7
 
+    def test_serialize_int_weights(self):
+        g = CompleteWeightedGraph(3, (1, -2, 10**17))
+        assert serialize_graph(g) == "n 3\n0 1 1\n0 2 -2\n1 2 100000000000000000\n"
+
     @given(graphs(bound=1e9))
     @settings(max_examples=50)
     def test_round_trip_random(self, g):
@@ -347,6 +351,7 @@ class TestTextFormat:
                 st.integers(-(2**60), 2**60).map(float),
                 st.floats(min_value=1e16, allow_infinity=False),
                 st.floats(min_value=-1e-307, max_value=1e-307),
+                st.integers(-(2**70), 2**70),
             )
         )
     )
