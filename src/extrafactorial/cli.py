@@ -122,8 +122,8 @@ def _cmd_efs(args: argparse.Namespace) -> int:
         "mean_not_through": None if g.n == 3 else mean_length_not_through(g, bd.edge),
     }
     if args.csv:
+        values = ["" if x is None else format_weight(x) for x in fields.values()]
         print(",".join(["u", "v", *fields]))
-        values = ("" if x is None else format_weight(x) for x in fields.values())
         print(",".join([str(bd.edge.u), str(bd.edge.v), *values]))
         return 0
     print(f"edge {bd.edge.u},{bd.edge.v}")
@@ -155,28 +155,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.file)
     n = g.n
     cap = args.max_n_override
-    quiet = args.quiet
-    failures = 0
-    # the report is written only once every check has run, so an arithmetic
-    # error leaves stdout empty
-    lines: list[str] = []
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            if not quiet:
-                lines.append(f"PASS {name}")
-        else:
-            failures += 1
-            suffix = f": {detail}" if detail else ""
-            lines.append(f"FAIL {name}{suffix}")
-
     total_cycles = sum(1 for _ in enumerate_all(n, max_order=cap))
-    report(
-        "cycle_count",
-        total_cycles == count_all(n),
-        f"{total_cycles} != {count_all(n)}",
-    )
+    # check name -> passed, in report order
+    checks = {"cycle_count": total_cycles == count_all(n)}
+    details = {"cycle_count": f"{total_cycles} != {count_all(n)}"}
 
     lengths_sum = math.fsum(
         cycle_length(g, c) for c in enumerate_all(n, max_order=cap)
@@ -185,70 +167,55 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cycle_length(g, c) ** 2 for c in enumerate_all(n, max_order=cap)
     )
 
-    through_counts_ok = True
-    membership_ok = True
-    efs_ok = True
-    partition_ok = True
-    summational_ok = True
-    complement_ok = True
     expected_through = count_through_edge(n)
     shrink = math.factorial(n - 3)
     for e, efs in zip(g.edges(), efs_all(g)):
-        count = 0
+        member = True
         lengths = []
         for cycle in enumerate_through_edge(n, e, max_order=cap):
-            count += 1
-            if not cycle.contains_edge(*e):
-                membership_ok = False
+            member &= cycle.contains_edge(*e)
             lengths.append(cycle_length(g, cycle))
-        if count != expected_through:
-            through_counts_ok = False
         oracle_sum = math.fsum(lengths)
-        if not _close(efs * shrink, oracle_sum):
-            efs_ok = False
         bd = efs_breakdown(g, e)
-        if not _close(bd.x1 + bd.x2 + bd.x3, g.total_weight):
-            partition_ok = False
-        if not _close(summational_graph(g, e).total_weight, oracle_sum):
-            summational_ok = False
+        edge_checks = {
+            "through_edge_count": len(lengths) == expected_through,
+            "through_edge_membership": member,
+            "efs_closed_form": _close(efs * shrink, oracle_sum),
+            "breakdown_partition": _close(bd.x1 + bd.x2 + bd.x3, g.total_weight),
+            "summational_total": _close(summational_graph(g, e).total_weight, oracle_sum),
+        }
         if n > 3:
             oracle_complement = (lengths_sum - oracle_sum) / (
                 count_all(n) - expected_through
             )
-            if not _close(mean_length_not_through(g, e), oracle_complement):
-                complement_ok = False
-    report("through_edge_count", through_counts_ok)
-    report("through_edge_membership", membership_ok)
-    report("efs_closed_form", efs_ok)
-    report("breakdown_partition", partition_ok)
-    report("summational_total", summational_ok)
-    if n > 3:
-        report("complement_mean", complement_ok)
+            edge_checks["complement_mean"] = _close(
+                mean_length_not_through(g, e), oracle_complement
+            )
+        for name, ok in edge_checks.items():
+            checks[name] = checks.get(name, True) and ok
 
-    report(
-        "mean_length_all",
-        _close(mean_length_all(g), lengths_sum / total_cycles),
-    )
-    report(
-        "mean_squared_length",
-        _close(mean_squared_length(g), squares_sum / total_cycles),
+    checks["mean_length_all"] = _close(mean_length_all(g), lengths_sum / total_cycles)
+    checks["mean_squared_length"] = _close(
+        mean_squared_length(g), squares_sum / total_cycles
     )
 
     kind, stream = enumerate_through_pair(n, (0, 1), (1, 2), max_order=cap)
-    report(
-        "adjacent_pair_count",
-        sum(1 for _ in stream) == count_through_pair(n, kind),
-    )
+    checks["adjacent_pair_count"] = sum(1 for _ in stream) == count_through_pair(n, kind)
     if n >= 4:
         kind, stream = enumerate_through_pair(n, (0, 1), (2, 3), max_order=cap)
-        report(
-            "non_adjacent_pair_count",
-            sum(1 for _ in stream) == count_through_pair(n, kind),
+        checks["non_adjacent_pair_count"] = (
+            sum(1 for _ in stream) == count_through_pair(n, kind)
         )
 
-    for line in lines:
-        print(line)
-    return 1 if failures else 0
+    # the report is written only once every check has run, so an arithmetic
+    # error leaves stdout empty
+    for name, ok in checks.items():
+        if not ok:
+            detail = details.get(name)
+            print(f"FAIL {name}: {detail}" if detail else f"FAIL {name}")
+        elif not args.quiet:
+            print(f"PASS {name}")
+    return 0 if all(checks.values()) else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -10,8 +10,11 @@ breaking, which restricts the output to the cycles traversing them; they seed
 with every cycle on the protected edges' vertices (topped up to three) that
 traverses all of them.
 
-Streams are generated depth-first, so memory stays O(n^2) regardless of the
-factorial number of cycles produced.
+A stream is a pipeline of lazy levels, one per inserted vertex: each level
+maps the cycles of the level before to their children and chains them, so the
+cycles come depth-first in parent-edge order while at most one parent's
+children per level are held. Memory stays O(n^2) regardless of the factorial
+number of cycles produced.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain, permutations
 from typing import Iterable, Iterator
 
@@ -108,6 +112,18 @@ def canonicalize(raw: Iterable[int]) -> HamiltonianCycle:
     return HamiltonianCycle(_canonical(seq))
 
 
+def _children(
+    verts: tuple[int, ...], x: int, protected: frozenset[EdgeKey]
+) -> list[tuple[int, ...]]:
+    # the canonical cycles made by inserting x into each edge of `verts` in
+    # turn, skipping the protected edges
+    return [
+        _canonical(verts[: i + 1] + (x,) + verts[i + 1 :])
+        for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1]))
+        if not protected or ((a, b) if a < b else (b, a)) not in protected
+    ]
+
+
 def siva_insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
     """All children of `cycle` obtained by inserting vertex `x`.
 
@@ -121,31 +137,7 @@ def siva_insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
     verts = cycle.vertices
     if x in verts:
         raise VertexAlreadyPresent(f"vertex {x} already on cycle {verts}")
-    return [
-        HamiltonianCycle(_canonical(verts[: i + 1] + (x,) + verts[i + 1 :]))
-        for i in range(len(verts))
-    ]
-
-
-def _expand(
-    verts: tuple[int, ...],
-    pending: tuple[int, ...],
-    protected: frozenset[EdgeKey],
-) -> Iterator[HamiltonianCycle]:
-    # depth-first insertion of `pending` (in order) into the cycle `verts`,
-    # never breaking a protected edge
-    if not pending:
-        yield HamiltonianCycle(verts)
-        return
-    x = pending[0]
-    rest = pending[1:]
-    last = len(verts) - 1
-    for i, a in enumerate(verts):
-        b = verts[i + 1] if i < last else verts[0]
-        if protected and ((a, b) if a < b else (b, a)) in protected:
-            continue
-        child = _canonical(verts[: i + 1] + (x,) + verts[i + 1 :])
-        yield from _expand(child, rest, protected)
+    return [HamiltonianCycle(c) for c in _children(verts, x, frozenset())]
 
 
 def _check_order(n: int, max_order: int | None) -> None:
@@ -161,21 +153,22 @@ def _check_order(n: int, max_order: int | None) -> None:
 
 def _stream(n: int, protected: frozenset[EdgeKey]) -> Iterator[HamiltonianCycle]:
     # seeds: every canonical cycle on the protected edges' vertices, topped up
-    # to three with the smallest free vertices, that traverses them all;
-    # chain.from_iterable adds no generator frame per yielded cycle
+    # to three with the smallest free vertices, that traverses them all; then
+    # one lazy level per remaining vertex, inserted in ascending order
     used = sorted({v for e in protected for v in e})
     free = [v for v in range(n) if v not in used]
     top_up = max(0, 3 - len(used))
     on_seeds = used + free[:top_up]
-    seeds = sorted(
+    level: Iterable[tuple[int, ...]] = sorted(
         {
             c
             for c in map(_canonical, permutations(on_seeds))
             if protected.issubset(HamiltonianCycle(c).edges())
         }
     )
-    pending = tuple(free[top_up:])
-    return chain.from_iterable(_expand(seed, pending, protected) for seed in seeds)
+    for x in free[top_up:]:
+        level = chain.from_iterable(map(partial(_children, x=x, protected=protected), level))
+    return map(HamiltonianCycle, level)
 
 
 def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[HamiltonianCycle]:

@@ -50,14 +50,25 @@ class EdgeStatistics:
     mean_not_through: float | None  # None at order 3
 
 
+def _overflow(e: EdgeKey) -> OverflowError:
+    # the weights are finite, so a non-finite efs is an overflow, not a value
+    return OverflowError(f"efs of edge ({e.u}, {e.v}) overflows the double range")
+
+
 def efs_breakdown(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
-    """x1/x2/x3 decomposition and extra-factorial sum for one edge."""
+    """x1/x2/x3 decomposition and extra-factorial sum for one edge.
+
+    Raises OverflowError when the efs leaves the double range.
+    """
     key = g.edge(*e)
     w = g.weights[_pair_index(g.n, key.u, key.v)]
     s = g.strengths
     x2 = s[key.u] + s[key.v] - 2.0 * w
     x3 = g.total_weight - s[key.u] - s[key.v] + w
-    return EfsBreakdown(key, w, x2, x3, (g.n - 2) * w + x2 + 2.0 * x3)
+    efs = (g.n - 2) * w + x2 + 2.0 * x3
+    if not math.isfinite(efs):
+        raise _overflow(key)
+    return EfsBreakdown(key, w, x2, x3, efs)
 
 
 def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -70,7 +81,11 @@ def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
 
 
 def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
-    """Extra-factorial sum of every edge, aligned with ``g.weights``, in O(n^2)."""
+    """Extra-factorial sum of every edge, aligned with ``g.weights``, in O(n^2).
+
+    Raises OverflowError, naming the first such edge, when an efs leaves the
+    double range.
+    """
     s = g.strengths
     total = g.total_weight
     scale = g.n - 2
@@ -85,6 +100,9 @@ def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
             scale * w + (su + sv - 2.0 * w) + 2.0 * (total - su - sv + w)
             for w, sv in zip(row, others)
         ]
+    isfinite = math.isfinite
+    if not all(map(isfinite, out)):
+        raise _overflow(next(e for e, x in zip(g.edges(), out) if not isfinite(x)))
     return tuple(out)
 
 

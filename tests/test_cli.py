@@ -303,5 +303,27 @@ class TestErrors:
             "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
         )
 
+    # finite weights with a total of 0 whose naively summed strengths overflow
+    # to inf and -inf, so the closed-form efs would be NaN
+    NAN_EFS = "n 4\n0 1 1e308\n0 3 1e308\n1 3 1e308\n0 2 -1e308\n1 2 -1e308\n2 3 -1e308\n"
+
+    @pytest.mark.parametrize(
+        "argv, edge",
+        [
+            (["efs"], "(0, 1)"),
+            (["efs", "--edge", "0,3", "--csv"], "(0, 3)"),
+            (["stats"], "(0, 1)"),
+            (["efs", "--edge", "0,3"], "(0, 3)"),
+        ],
+    )
+    def test_non_finite_efs_is_domain_error(self, tmp_path, capsys, argv, edge):
+        path = tmp_path / "nan.txt"
+        path.write_text(self.NAN_EFS)
+        assert run([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: OverflowError: efs of edge {edge} overflows the double range\n",
+        )
+
     def test_version(self, capsys):
         assert run(["--version"]) == 0

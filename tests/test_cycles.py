@@ -1,6 +1,7 @@
 import math
+import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,28 @@ class TestEnumerateAll:
         with pytest.raises(EnumerationCapExceeded):
             enumerate_all(6, max_order=5)
         assert sum(1 for _ in enumerate_all(6, max_order=6)) == 60
+
+
+class TestLaziness:
+    # the first cycles of an order-12 stream (about 2e7 cycles in all) must
+    # come without building any level of the insertion tree in full
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: enumerate_all(12),
+            lambda: enumerate_through_pair(12, (3, 7), (5, 9))[1],
+        ],
+        ids=["all", "pair"],
+    )
+    def test_first_cycles_of_order_12(self, make):
+        tracemalloc.start()
+        try:
+            first = list(islice(make(), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.order for c in first] == [12, 12, 12]
+        assert peak < 1 << 20
 
 
 class TestEnumerateThroughEdge:

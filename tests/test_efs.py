@@ -147,6 +147,19 @@ class TestEfsAll:
             # bit-equal: one formula, same arithmetic order on both paths
             assert table[k] == efs_breakdown(graph5, e).efs
 
+    def test_non_finite_efs_raises_overflow(self):
+        # finite weights; only efs(0, 2) = 2w and efs(1, 3) = 2 * x3 = 2w
+        # leave the double range
+        g = CompleteWeightedGraph(4, (0.0, 1.7e308, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(OverflowError, match=r"^efs of edge \(0, 2\) overflows"):
+            efs_all(g)
+        for e in g.edges():
+            if e in ((0, 2), (1, 3)):
+                with pytest.raises(OverflowError, match=rf"^efs of edge \({e.u}, {e.v}\)"):
+                    efs_breakdown(g, e)
+            else:
+                assert math.isfinite(efs_breakdown(g, e).efs)
+
 
 class TestSummationalGraph:
     def test_sample5_multipliers(self, graph5):

@@ -6,14 +6,23 @@ values, so most efs values are shared by many edges: its profile pins the
 scale pivot among equal-magnitude edges. The random order-60 graph pins the
 full-precision values. The order-6 enumerations pin the order in which each
 stream visits its seed cycles and inserts the remaining vertices. The order-60
-`gen` file pins `serialize_graph`. Long outputs are pinned by SHA-256 digest.
+`gen` file pins `serialize_graph`, and one digest pins every order-6 stream of
+the three enumerators. Long outputs are pinned by SHA-256 digest.
 """
 
 import hashlib
+from itertools import combinations, permutations
 
 import pytest
 
-from extrafactorial import CompleteWeightedGraph, random_graph, serialize_graph
+from extrafactorial import (
+    CompleteWeightedGraph,
+    enumerate_all,
+    enumerate_through_edge,
+    enumerate_through_pair,
+    random_graph,
+    serialize_graph,
+)
 from extrafactorial.cli import run
 
 
@@ -143,3 +152,22 @@ def test_gen_bytes(tmp_path, capsys):
     assert out.startswith(b"n 60\n0 1 4.7585005855403555\n")
     assert len(out) == 43204
     assert hashlib.sha256(out).hexdigest() == "b0742966b8ca5ba465871126650eb35002f88c18091fe174ae47032622ebdad8"
+
+
+def test_stream_order_digest():
+    # every order-6 stream, in order: all cycles, the cycles through each edge,
+    # and the cycles through each ordered pair of distinct edges (adjacent and
+    # not), the first edge given with its endpoints flipped
+    n = 6
+    edges = list(combinations(range(n), 2))
+    streams = [enumerate_all(n)]
+    streams += [enumerate_through_edge(n, e) for e in edges]
+    streams += [enumerate_through_pair(n, (v, u), f)[1] for (u, v), f in permutations(edges, 2)]
+    h = hashlib.sha256()
+    yielded = 0
+    for stream in streams:
+        cycles = [c.vertices for c in stream]
+        yielded += len(cycles)
+        h.update(repr(cycles).encode() + b"\n")
+    assert (len(streams), yielded) == (1 + 15 + 210, 60 + 15 * 24 + 120 * 6 + 90 * 12)
+    assert h.hexdigest() == "9aee987f39c85465c7a22f1d1ce50215ae8aa1fbb89fd0d3d1e3df0caa5142fc"
