@@ -23,11 +23,9 @@ from .cycles import (
 )
 from .efs import (
     EdgeStatistics,
-    EfsBreakdown,
     derived_graph,
     edge_statistics,
     efs_all,
-    efs_breakdown,
     extra_factorial_sum,
     mean_length_all,
     mean_length_not_through,
@@ -62,7 +60,6 @@ __all__ = [
     "EdgeKey",
     "EdgePairKind",
     "EdgeStatistics",
-    "EfsBreakdown",
     "HamiltonianCycle",
     "ProfileComparison",
     "RankedProfile",
@@ -79,7 +76,6 @@ __all__ = [
     "edge_pair_kind",
     "edge_statistics",
     "efs_all",
-    "efs_breakdown",
     "enumerate_all",
     "enumerate_through_edge",
     "enumerate_through_pair",

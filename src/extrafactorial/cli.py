@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -32,10 +33,10 @@ from .cycles import (
     enumerate_through_pair,
 )
 from .efs import (
+    _overflow,
+    edge_statistics,
     efs_all,
-    efs_breakdown,
     mean_length_all,
-    mean_length_not_through,
     mean_squared_length,
     summational_graph,
 )
@@ -57,12 +58,13 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _edge_arg(text: str) -> tuple[int, int]:
+def _ints_arg(text: str, shape: str) -> tuple[int, ...]:
+    """`text` as comma-separated integers, as many as `shape` ('u,v') names."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'u,v', got {text!r}")
+    if len(parts) != len(shape.split(",")):
+        raise argparse.ArgumentTypeError(f"expected {shape!r}, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
 
@@ -75,17 +77,6 @@ def _limit_arg(text: str) -> int:
     if limit < 0:
         raise argparse.ArgumentTypeError(f"limit must be >= 0, got {limit}")
     return limit
-
-
-def _pair_arg(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected 'u,v,x,y', got {text!r}")
-    try:
-        u, v, x, y = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
-    return u, v, x, y
 
 
 def _load(path: str) -> CompleteWeightedGraph:
@@ -112,22 +103,18 @@ def _cmd_efs(args: argparse.Namespace) -> int:
     if args.edge is None:
         sys.stdout.write(export_profile_csv(ranked_profile(g)))
         return 0
-    bd = efs_breakdown(g, args.edge)
-    fields = {
-        "x1": bd.x1,
-        "x2": bd.x2,
-        "x3": bd.x3,
-        "efs": bd.efs,
-        "mean_through": bd.efs / (g.n - 2),
-        "mean_not_through": None if g.n == 3 else mean_length_not_through(g, bd.edge),
-    }
+    stats = edge_statistics(g, args.edge)
+    edge, *values = stats
+    names = stats._fields[1:]
+    if g.n > 3 and not math.isfinite(stats.mean_not_through):
+        raise _overflow(edge, "mean_not_through")
     if args.csv:
-        values = ["" if x is None else format_weight(x) for x in fields.values()]
-        print(",".join(["u", "v", *fields]))
-        print(",".join([str(bd.edge.u), str(bd.edge.v), *values]))
+        row = ["" if x is None else format_weight(x) for x in values]
+        print(",".join(["u", "v", *names]))
+        print(",".join([str(edge.u), str(edge.v), *row]))
         return 0
-    print(f"edge {bd.edge.u},{bd.edge.v}")
-    for name, x in fields.items():
+    print(f"edge {edge.u},{edge.v}")
+    for name, x in zip(names, values):
         if x is not None:
             print(f"{name} {_fmt(x)}")
     return 0
@@ -176,21 +163,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             member &= cycle.contains_edge(*e)
             lengths.append(cycle_length(g, cycle))
         oracle_sum = math.fsum(lengths)
-        bd = efs_breakdown(g, e)
+        stats = edge_statistics(g, e)
         edge_checks = {
             "through_edge_count": len(lengths) == expected_through,
             "through_edge_membership": member,
             "efs_closed_form": _close(efs * shrink, oracle_sum),
-            "breakdown_partition": _close(bd.x1 + bd.x2 + bd.x3, g.total_weight),
+            "breakdown_partition": _close(stats.x1 + stats.x2 + stats.x3, g.total_weight),
             "summational_total": _close(summational_graph(g, e).total_weight, oracle_sum),
         }
         if n > 3:
             oracle_complement = (lengths_sum - oracle_sum) / (
                 count_all(n) - expected_through
             )
-            edge_checks["complement_mean"] = _close(
-                mean_length_not_through(g, e), oracle_complement
-            )
+            edge_checks["complement_mean"] = _close(stats.mean_not_through, oracle_complement)
         for name, ok in edge_checks.items():
             checks[name] = checks.get(name, True) and ok
 
@@ -257,17 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("efs", help="per-edge breakdown or full ranked profile")
     p.add_argument("file")
-    p.add_argument("--edge", type=_edge_arg, help="edge 'u,v'; omit for the profile")
+    p.add_argument("--edge", type=partial(_ints_arg, shape="u,v"),
+                   help="edge 'u,v'; omit for the profile")
     p.add_argument("--csv", action="store_true", help="CSV output for --edge")
     p.set_defaults(handler=_cmd_efs)
 
     p = sub.add_parser("enumerate", help="cycles with lengths, one per line")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--through", type=_edge_arg, help="only cycles through 'u,v'")
-    group.add_argument(
-        "--pair", type=_pair_arg, help="only cycles through both 'u,v' and 'x,y'"
-    )
+    group.add_argument("--through", type=partial(_ints_arg, shape="u,v"),
+                       help="only cycles through 'u,v'")
+    group.add_argument("--pair", type=partial(_ints_arg, shape="u,v,x,y"),
+                       help="only cycles through both 'u,v' and 'x,y'")
     p.add_argument("--limit", type=_limit_arg, help="stop after this many cycles")
     p.add_argument(
         "--max-order",

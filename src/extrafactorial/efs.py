@@ -20,55 +20,54 @@ brute-force sum over the cycles through e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FactorialOverflow, NoComplementCycles
 from .graph import CompleteWeightedGraph, EdgeKey, _pair_index
 
-#: Largest order for which the summational multipliers fit in a double.
-MAX_SUMMATIONAL_ORDER = 170
+#: Largest order for which the summational multipliers fit in a double: the
+#: largest of them, (n-2)!, is 170! at order 172.
+MAX_SUMMATIONAL_ORDER = 172
 
 
-class EfsBreakdown(NamedTuple):
-    """Weight decomposition behind one edge's extra-factorial sum."""
+class EdgeStatistics(NamedTuple):
+    """One edge's efs decomposition and its two conditional mean cycle lengths."""
 
     edge: EdgeKey
     x1: float
     x2: float
     x3: float
     efs: float
-
-
-@dataclass(frozen=True)
-class EdgeStatistics:
-    """Per-edge summary: efs plus the two conditional mean cycle lengths."""
-
-    edge: EdgeKey
-    efs: float
     mean_through: float
     mean_not_through: float | None  # None at order 3
 
 
-def _overflow(e: EdgeKey) -> OverflowError:
-    # the weights are finite, so a non-finite efs is an overflow, not a value
-    return OverflowError(f"efs of edge ({e.u}, {e.v}) overflows the double range")
+def _overflow(e: EdgeKey, name: str = "efs") -> OverflowError:
+    # the weights are finite, so a non-finite result is an overflow, not a value
+    return OverflowError(f"{name} of edge ({e.u}, {e.v}) overflows the double range")
 
 
-def efs_breakdown(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
-    """x1/x2/x3 decomposition and extra-factorial sum for one edge.
+def edge_statistics(g: CompleteWeightedGraph, e: tuple[int, int]) -> EdgeStatistics:
+    """x1/x2/x3 decomposition, efs and both conditional means for one edge.
 
+    The mean length of the cycles avoiding e is factorial-free as
+    ((n-2) * W - efs(e)) / ((n-2) * (n-3) / 2); it is None at order 3, where
+    no cycle avoids e, and inf when (n-2) * W leaves the double range.
     Raises OverflowError when the efs leaves the double range.
     """
     key = g.edge(*e)
-    w = g.weights[_pair_index(g.n, key.u, key.v)]
+    n = g.n
+    w = g.weights[_pair_index(n, key.u, key.v)]
     s = g.strengths
     x2 = s[key.u] + s[key.v] - 2.0 * w
     x3 = g.total_weight - s[key.u] - s[key.v] + w
-    efs = (g.n - 2) * w + x2 + 2.0 * x3
+    efs = (n - 2) * w + x2 + 2.0 * x3
     if not math.isfinite(efs):
         raise _overflow(key)
-    return EfsBreakdown(key, w, x2, x3, efs)
+    mean_not = (
+        None if n == 3 else ((n - 2) * g.total_weight - efs) / ((n - 2) * (n - 3) / 2.0)
+    )
+    return EdgeStatistics(key, w, x2, x3, efs, efs / (n - 2), mean_not)
 
 
 def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -77,7 +76,7 @@ def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     Multiplied by (n-3)! it equals the summed lengths of the (n-2)! cycles
     through e; divided by (n-2) it gives their mean length.
     """
-    return efs_breakdown(g, e).efs
+    return edge_statistics(g, e).efs
 
 
 def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
@@ -137,7 +136,7 @@ def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteW
 
 def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     """Mean length of the (n-2)! cycles traversing `e`: efs(e) / (n-2)."""
-    return extra_factorial_sum(g, e) / (g.n - 2)
+    return edge_statistics(g, e).mean_through
 
 
 def mean_length_all(g: CompleteWeightedGraph) -> float:
@@ -148,21 +147,14 @@ def mean_length_all(g: CompleteWeightedGraph) -> float:
 def mean_length_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     """Mean length of the cycles avoiding `e`; undefined at order 3.
 
-    Factorial-free: ((n-2) * W - efs(e)) / ((n-2) * (n-3) / 2).
+    Raises OverflowError when the value leaves the double range.
     """
     if g.n == 3:
         raise NoComplementCycles("every order-3 cycle traverses every edge")
-    n = g.n
-    efs = extra_factorial_sum(g, e)
-    return ((n - 2) * g.total_weight - efs) / ((n - 2) * (n - 3) / 2.0)
-
-
-def edge_statistics(g: CompleteWeightedGraph, e: tuple[int, int]) -> EdgeStatistics:
-    """efs and both conditional means for one edge."""
-    key = g.edge(*e)
-    efs = extra_factorial_sum(g, key)
-    mean_not = None if g.n == 3 else mean_length_not_through(g, key)
-    return EdgeStatistics(key, efs, efs / (g.n - 2), mean_not)
+    stats = edge_statistics(g, e)
+    if not math.isfinite(stats.mean_not_through):
+        raise _overflow(stats.edge, "mean_not_through")
+    return stats.mean_not_through
 
 
 def derived_graph(g: CompleteWeightedGraph) -> CompleteWeightedGraph:

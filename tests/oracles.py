@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from extrafactorial import CompleteWeightedGraph, EfsBreakdown, build_graph, edge_key
+from extrafactorial import CompleteWeightedGraph, EdgeKey, build_graph, edge_key
 from extrafactorial.errors import (
     DuplicateEdge,
     MissingEdge,
@@ -115,8 +115,17 @@ def oracle_mean_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> flo
     return math.fsum(lengths) / len(lengths)
 
 
-def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsBreakdown:
-    """Reference form of ``efs_breakdown`` that sums the edge classes directly.
+class ExplicitBreakdown(NamedTuple):
+    edge: EdgeKey
+    x1: float
+    x2: float
+    x3: float
+    efs: float
+
+
+def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> ExplicitBreakdown:
+    """Reference form of ``edge_statistics``' x1/x2/x3 and efs that sums the
+    edge classes directly.
 
     O(n^2) per edge; an independent cross-check of the package's
     strength-based closed form (the two must agree to floating precision).
@@ -134,7 +143,7 @@ def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> EfsB
             disjoint.append(w)
     x2 = math.fsum(intersecting)
     x3 = math.fsum(disjoint)
-    return EfsBreakdown(key, x1, x2, x3, (g.n - 2) * x1 + x2 + 2.0 * x3)
+    return ExplicitBreakdown(key, x1, x2, x3, (g.n - 2) * x1 + x2 + 2.0 * x3)
 
 
 def rel_close(value: float, reference: float, tol: float = 1e-9) -> bool:

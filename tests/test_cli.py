@@ -78,6 +78,19 @@ class TestEfs:
     def test_bad_edge_syntax_is_usage_error(self, g4_file, capsys):
         assert run(["efs", g4_file, "--edge", "zero-one"]) == 2
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("0,1,2", "expected 'u,v', got '0,1,2'"),
+            ("0,b", "expected integers in '0,b'"),
+        ],
+    )
+    def test_bad_edge_message(self, g4_file, capsys, edge, message):
+        assert run(["efs", g4_file, "--edge", edge]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --edge: {message}\n" in captured.err
+
     def test_domain_error_keeps_stdout_clean(self, g4_file, capsys):
         assert run(["efs", g4_file, "--edge", "0,9"]) == 1
         captured = capsys.readouterr()
@@ -101,6 +114,19 @@ class TestEnumerate:
     def test_pair(self, g5_file, capsys):
         assert run(["enumerate", g5_file, "--pair", "0,4,3,4"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("0,1,2", "expected 'u,v,x,y', got '0,1,2'"),
+            ("0,1,a,b", "expected integers in '0,1,a,b'"),
+        ],
+    )
+    def test_bad_pair_syntax_is_usage_error(self, g5_file, capsys, pair, message):
+        assert run(["enumerate", g5_file, "--pair", pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --pair: {message}\n" in captured.err
 
     def test_limit(self, g5_file, capsys):
         assert run(["enumerate", g5_file, "--limit", "4"]) == 0
@@ -306,23 +332,31 @@ class TestErrors:
     # finite weights with a total of 0 whose naively summed strengths overflow
     # to inf and -inf, so the closed-form efs would be NaN
     NAN_EFS = "n 4\n0 1 1e308\n0 3 1e308\n1 3 1e308\n0 2 -1e308\n1 2 -1e308\n2 3 -1e308\n"
+    # finite weights and a finite efs for every edge not (0, 2) or (1, 3), but
+    # (n-2) * W overflows, so the mean of the cycles avoiding (0, 1) would be inf
+    BIG_TOTAL = "n 4\n0 1 0\n0 2 1.7e308\n0 3 0\n1 2 0\n1 3 0\n2 3 0\n"
 
     @pytest.mark.parametrize(
-        "argv, edge",
+        "text, argv, message",
         [
-            (["efs"], "(0, 1)"),
-            (["efs", "--edge", "0,3", "--csv"], "(0, 3)"),
-            (["stats"], "(0, 1)"),
-            (["efs", "--edge", "0,3"], "(0, 3)"),
+            (NAN_EFS, ["efs"], "efs of edge (0, 1)"),
+            (NAN_EFS, ["efs", "--edge", "0,3", "--csv"], "efs of edge (0, 3)"),
+            (NAN_EFS, ["stats"], "efs of edge (0, 1)"),
+            (NAN_EFS, ["efs", "--edge", "0,3"], "efs of edge (0, 3)"),
+            (BIG_TOTAL, ["efs", "--edge", "0,1"], "mean_not_through of edge (0, 1)"),
+            (BIG_TOTAL, ["efs", "--edge", "0,1", "--csv"], "mean_not_through of edge (0, 1)"),
         ],
+        # explicit ids: the four efs cases keep their established names
+        ids=["argv0-(0, 1)", "argv1-(0, 3)", "argv2-(0, 1)", "argv3-(0, 3)",
+             "mean_not_through-text", "mean_not_through-csv"],
     )
-    def test_non_finite_efs_is_domain_error(self, tmp_path, capsys, argv, edge):
-        path = tmp_path / "nan.txt"
-        path.write_text(self.NAN_EFS)
+    def test_non_finite_efs_is_domain_error(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "overflow.txt"
+        path.write_text(text)
         assert run([argv[0], str(path), *argv[1:]]) == 1
         assert capsys.readouterr() == (
             "",
-            f"error: OverflowError: efs of edge {edge} overflows the double range\n",
+            f"error: OverflowError: {message} overflows the double range\n",
         )
 
     def test_version(self, capsys):

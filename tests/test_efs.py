@@ -14,7 +14,6 @@ from extrafactorial import (
     derived_graph,
     edge_statistics,
     efs_all,
-    efs_breakdown,
     enumerate_all,
     extra_factorial_sum,
     mean_length_all,
@@ -57,11 +56,11 @@ def graphs(draw, min_n=3, max_n=6, bound=100.0):
 
 class TestBreakdown:
     def test_sample4_edge01(self, graph4):
-        bd = efs_breakdown(graph4, (0, 1))
+        bd = edge_statistics(graph4, (0, 1))
         assert (bd.x1, bd.x2, bd.x3, bd.efs) == (12.0, 24.0, 2.0, 52.0)
 
     def test_sample5_edge01(self, graph5):
-        bd = efs_breakdown(graph5, (0, 1))
+        bd = edge_statistics(graph5, (0, 1))
         assert bd.x1 == 4.0
         assert bd.x2 == pytest.approx(75.1, rel=1e-9)
         assert bd.x3 == pytest.approx(55.0, rel=1e-9)
@@ -77,15 +76,15 @@ class TestBreakdown:
 
     def test_errors(self, graph4):
         with pytest.raises(SelfLoop):
-            efs_breakdown(graph4, (1, 1))
+            edge_statistics(graph4, (1, 1))
         with pytest.raises(VertexOutOfRange):
-            efs_breakdown(graph4, (0, 4))
+            edge_statistics(graph4, (0, 4))
 
     @given(graphs())
     @settings(max_examples=60)
     def test_partition_sums_to_total(self, g):
         for e in g.edges():
-            bd = efs_breakdown(g, e)
+            bd = edge_statistics(g, e)
             assert bd.x1 + bd.x2 + bd.x3 == pytest.approx(
                 g.total_weight, rel=1e-9, abs=1e-9
             )
@@ -94,7 +93,7 @@ class TestBreakdown:
     @settings(max_examples=30)
     def test_explicit_form_agrees(self, g):
         for e in g.edges():
-            fast = efs_breakdown(g, e)
+            fast = edge_statistics(g, e)
             explicit = efs_breakdown_explicit(g, e)
             assert fast.efs == pytest.approx(explicit.efs, rel=1e-9, abs=1e-9)
             assert fast.x2 == pytest.approx(explicit.x2, rel=1e-9, abs=1e-9)
@@ -145,7 +144,7 @@ class TestEfsAll:
         assert len(table) == graph5.edge_count
         for k, e in enumerate(graph5.edges()):
             # bit-equal: one formula, same arithmetic order on both paths
-            assert table[k] == efs_breakdown(graph5, e).efs
+            assert table[k] == edge_statistics(graph5, e).efs
 
     def test_non_finite_efs_raises_overflow(self):
         # finite weights; only efs(0, 2) = 2w and efs(1, 3) = 2 * x3 = 2w
@@ -156,9 +155,9 @@ class TestEfsAll:
         for e in g.edges():
             if e in ((0, 2), (1, 3)):
                 with pytest.raises(OverflowError, match=rf"^efs of edge \({e.u}, {e.v}\)"):
-                    efs_breakdown(g, e)
+                    edge_statistics(g, e)
             else:
-                assert math.isfinite(efs_breakdown(g, e).efs)
+                assert math.isfinite(edge_statistics(g, e).efs)
 
 
 class TestSummationalGraph:
@@ -192,11 +191,11 @@ class TestSummationalGraph:
                 )
 
     def test_factorial_overflow(self):
-        g = make_zero_graph(171)
+        g = make_zero_graph(173)
         with pytest.raises(FactorialOverflow):
             summational_graph(g, (0, 1))
-        # order 170 is still within the exact double range
-        assert summational_graph(make_zero_graph(170), (0, 1)).total_weight == 0.0
+        # order 172's largest multiplier, 170! ~ 7.3e306, still fits in a double
+        assert summational_graph(make_zero_graph(172), (0, 1)).total_weight == 0.0
 
     def test_overflowing_product_is_non_finite_weight(self):
         # 7! * 1e305 exceeds the double range
@@ -245,6 +244,18 @@ class TestMeans:
                 assert rel_close(
                     mean_length_not_through(g, e), oracle_mean_not_through(g, e)
                 )
+
+    def test_mean_not_through_overflow(self):
+        # (n-2) * W overflows although the weights, the efs and the mean of the
+        # cycles through (0, 1) are finite
+        g = CompleteWeightedGraph(4, (0.0, 1.7e308, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(
+            OverflowError, match=r"^mean_not_through of edge \(0, 1\) overflows the double range$"
+        ):
+            mean_length_not_through(g, (1, 0))
+        assert extra_factorial_sum(g, (0, 1)) == 1.7e308
+        assert mean_length_through(g, (0, 1)) == 8.5e307
+        assert edge_statistics(g, (0, 1)).mean_not_through == math.inf
 
     def test_no_complement_at_order3(self):
         with pytest.raises(NoComplementCycles):

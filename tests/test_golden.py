@@ -1,4 +1,4 @@
-"""Golden CLI output: exact bytes of `xfs efs`, `compare`, `stats`, `enumerate` and `gen`.
+"""Golden CLI output: exact bytes of `xfs efs`, `compare`, `stats`, `enumerate`, `gen` and `verify`.
 
 The tie-heavy integer graph w(u, v) = (7u + 3v) mod 5 takes only five weight
 values, so most efs values are shared by many edges: its profile pins the
@@ -7,7 +7,11 @@ scale pivot among equal-magnitude edges. The random order-60 graph pins the
 full-precision values. The order-6 enumerations pin the order in which each
 stream visits its seed cycles and inserts the remaining vertices. The order-60
 `gen` file pins `serialize_graph`, and one digest pins every order-6 stream of
-the three enumerators. Long outputs are pinned by SHA-256 digest.
+the three enumerators. One edge's statistics are pinned in text and CSV on an
+order-3 graph (no cycle avoids an edge, so `mean_not_through` is left out of
+the text and empty in the CSV), the two worked examples and the order-60
+graph, with the edge given both ways round. Long outputs are pinned by SHA-256
+digest.
 """
 
 import hashlib
@@ -24,6 +28,7 @@ from extrafactorial import (
     serialize_graph,
 )
 from extrafactorial.cli import run
+from oracles import make_graph4, make_graph5
 
 
 def tie_graph(a: int, b: int, mod: int = 5, shift: int = 0) -> CompleteWeightedGraph:
@@ -58,6 +63,9 @@ GRAPHS = {
     "r60b": lambda: random_graph(60, 2017, -10.0, 10.0),
     "r60neg": lambda: random_graph(60, 2016, -10.0, 10.0).scale(-3.0),
     "r6": lambda: random_graph(6, 2016, -10.0, 10.0),
+    "r3": lambda: random_graph(3, 2016, -10.0, 10.0),
+    "g4": make_graph4,
+    "g5": make_graph5,
 }
 
 
@@ -171,3 +179,63 @@ def test_stream_order_digest():
         h.update(repr(cycles).encode() + b"\n")
     assert (len(streams), yielded) == (1 + 15 + 210, 60 + 15 * 24 + 120 * 6 + 90 * 12)
     assert h.hexdigest() == "9aee987f39c85465c7a22f1d1ce50215ae8aa1fbb89fd0d3d1e3df0caa5142fc"
+
+
+EDGE_CSV_HEADER = "u,v,x1,x2,x3,efs,mean_through,mean_not_through\n"
+
+
+@pytest.mark.parametrize(
+    "graph, edge, text, csv_row",
+    [
+        ("r3", "0,1",
+         "edge 0,1\nx1 4.75850058554\nx2 6.82149164899\nx3 0\nefs 11.5799922345\n"
+         "mean_through 11.5799922345\n",
+         "0,1,4.7585005855403555,6.821491648985518,0,11.579992234525873,11.579992234525873,\n"),
+        ("r3", "2,0",
+         "edge 0,2\nx1 -1.02594480181\nx2 12.6059370363\nx3 0\nefs 11.5799922345\n"
+         "mean_through 11.5799922345\n",
+         "0,2,-1.0259448018129262,12.6059370363388,0,11.579992234525873,11.579992234525873,\n"),
+        ("g4", "0,1",
+         "edge 0,1\nx1 12\nx2 24\nx3 2\nefs 52\nmean_through 26\nmean_not_through 24\n",
+         "0,1,12,24,2,52,26,24\n"),
+        ("g4", "2,0",
+         "edge 0,2\nx1 8\nx2 25\nx3 5\nefs 51\nmean_through 25.5\nmean_not_through 25\n",
+         "0,2,8,25,5,51,25.5,25\n"),
+        ("g5", "0,1",
+         "edge 0,1\nx1 4\nx2 75.1\nx3 55\nefs 197.1\nmean_through 65.7\nmean_not_through 68.4\n",
+         "0,1,4,75.1,54.99999999999999,197.09999999999997,65.69999999999999,68.39999999999999\n"),
+        ("g5", "2,0",
+         "edge 0,2\nx1 12\nx2 100.5\nx3 21.6\nefs 179.7\nmean_through 59.9\nmean_not_through 74.2\n",
+         "0,2,12,100.5,21.599999999999994,179.7,59.9,74.19999999999999\n"),
+        ("r60", "0,1",
+         "edge 0,1\nx1 4.75850058554\nx2 -36.0764182849\nx3 318.257294773\nefs 876.431205223\n"
+         "mean_through 15.1108828487\nmean_not_through 9.53784190264\n",
+         "0,1,4.7585005855403555,-36.076418284946186,318.2572947733542,876.4312052231029,"
+         "15.110882848674187,9.5378419026412\n"),
+        ("r60", "2,0",
+         "edge 0,2\nx1 -1.02594480181\nx2 -51.2135624007\nx3 339.178884276\nefs 567.639407647\n"
+         "mean_through 9.78688633874\nmean_not_through 9.72464879773\n",
+         "0,2,-1.0259448018129262,-51.213562400671194,339.17888427643254,567.6394076470442,"
+         "9.786886338742141,9.724648797726534\n"),
+    ],
+)
+def test_edge_bytes(files, capsys, graph, edge, text, csv_row):
+    assert stdout_of(capsys, ["efs", files[graph], "--edge", edge]) == text
+    csv = stdout_of(capsys, ["efs", files[graph], "--edge", edge, "--csv"])
+    assert csv == EDGE_CSV_HEADER + csv_row
+
+
+VERIFY_CHECKS = (
+    "cycle_count", "through_edge_count", "through_edge_membership", "efs_closed_form",
+    "breakdown_partition", "summational_total", "complement_mean", "mean_length_all",
+    "mean_squared_length", "adjacent_pair_count", "non_adjacent_pair_count",
+)
+
+
+@pytest.mark.parametrize("graph", ["r3", "g4", "g5"])
+def test_verify_bytes(files, capsys, graph):
+    # order 3 has no complement cycles and no non-adjacent pair of edges
+    skipped = {"complement_mean", "non_adjacent_pair_count"} if graph == "r3" else set()
+    report = "".join(f"PASS {name}\n" for name in VERIFY_CHECKS if name not in skipped)
+    assert stdout_of(capsys, ["verify", files[graph]]) == report
+    assert stdout_of(capsys, ["--quiet", "verify", files[graph]]) == ""
