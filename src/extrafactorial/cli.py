@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .cycles import (
-    EdgePairKind,
     count_all,
     count_through_edge,
     count_through_pair,
@@ -80,7 +79,10 @@ def _limit_arg(text: str) -> int:
 
 
 def _load(path: str) -> CompleteWeightedGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_graph(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:  # unreadable, like a missing file: exit 2
+        raise OSError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

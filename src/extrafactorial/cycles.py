@@ -263,15 +263,13 @@ def cycle_length(g: CompleteWeightedGraph, cycle: HamiltonianCycle) -> float:
     are finite, so a non-finite length is an overflow, not a value.
     """
     verts = cycle.vertices
-    n = g.n
-    if len(verts) != n:
-        raise OrderMismatch(f"cycle order {len(verts)} != graph order {n}")
-    w = g.weights
+    if len(verts) != g.n:
+        raise OrderMismatch(f"cycle order {len(verts)} != graph order {g.n}")
+    rows = g.matrix
     total = 0.0
     prev = verts[-1]
     for v in verts:
-        u, x = (prev, v) if prev < v else (v, prev)
-        total += w[u * (2 * n - u - 1) // 2 + (x - u - 1)]
+        total += rows[prev][v]
         prev = v
     if not math.isfinite(total):
         raise OverflowError(f"length of cycle {cycle} overflows the double range")

@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .errors import FactorialOverflow, NoComplementCycles
-from .graph import CompleteWeightedGraph, EdgeKey, _pair_index
+from .graph import CompleteWeightedGraph, EdgeKey
 
 #: Largest order for which the summational multipliers fit in a double: the
 #: largest of them, (n-2)!, is 170! at order 172.
@@ -57,7 +57,7 @@ def edge_statistics(g: CompleteWeightedGraph, e: tuple[int, int]) -> EdgeStatist
     """
     key = g.edge(*e)
     n = g.n
-    w = g.weights[_pair_index(n, key.u, key.v)]
+    w = g.weight(*key)
     s = g.strengths
     x2 = s[key.u] + s[key.v] - 2.0 * w
     x3 = g.total_weight - s[key.u] - s[key.v] + w

@@ -1,8 +1,13 @@
 """Complete weighted graphs: construction, validation, file format, random generation.
 
 A graph of order n stores one real weight per unordered vertex pair, kept in a
-flat tuple ordered row-major over pairs (u, v) with u < v. Instances are
-immutable and safe to share across threads; all operations are pure.
+flat tuple ordered row-major over pairs (u, v) with u < v. This module owns
+that layout: ``pairs`` yields it, ``_pair_index`` inverts it, ``edge_lines``
+writes per-edge arrays in it, and ``CompleteWeightedGraph.matrix`` unfolds it
+for cycle lengths. ``build_graph`` keeps its own cursor, as ``pairs`` would copy
+``range(n)`` for any order a header claims; ``efs.efs_all`` slices rows, for
+speed. Instances are immutable and safe to share across threads; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -51,6 +57,11 @@ def _pair_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
+def pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The n(n-1)/2 vertex pairs (u, v), u < v, in row-major order."""
+    return combinations(range(n), 2)
+
+
 @dataclass(frozen=True)
 class CompleteWeightedGraph:
     """Order-n complete graph with a finite real weight on every pair."""
@@ -61,11 +72,9 @@ class CompleteWeightedGraph:
     def __post_init__(self):
         if self.n < 3:
             raise OrderTooSmall(f"graph order must be >= 3, got {self.n}")
-        m = self.n * (self.n - 1) // 2
+        m = self.edge_count
         if len(self.weights) != m:
-            raise MissingEdge(
-                f"order {self.n} needs {m} weights, got {len(self.weights)}"
-            )
+            raise MissingEdge(f"order {self.n} needs {m} weights, got {len(self.weights)}")
         for w in self.weights:
             if not math.isfinite(w):
                 raise NonFiniteWeight(f"weight {w!r} is not finite")
@@ -91,9 +100,7 @@ class CompleteWeightedGraph:
 
     def edges(self) -> Iterator[EdgeKey]:
         """All edges in (u, v)-lexicographic order."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield EdgeKey(u, v)
+        return map(EdgeKey._make, pairs(self.n))
 
     def items(self) -> Iterator[tuple[EdgeKey, float]]:
         return zip(self.edges(), self.weights)
@@ -102,14 +109,18 @@ class CompleteWeightedGraph:
     def strengths(self) -> tuple[float, ...]:
         """Per-vertex sum of the n-1 incident weights."""
         acc = [0.0] * self.n
-        k = 0
-        w = self.weights
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                acc[u] += w[k]
-                acc[v] += w[k]
-                k += 1
+        for (u, v), w in zip(pairs(self.n), self.weights):
+            acc[u] += w
+            acc[v] += w
         return tuple(acc)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        """The weights as n rows of n, symmetric, with 0.0 on the diagonal."""
+        rows = [[0.0] * self.n for _ in range(self.n)]
+        for (u, v), w in zip(pairs(self.n), self.weights):
+            rows[u][v] = rows[v][u] = w
+        return tuple(map(tuple, rows))
 
     def vertex_strength(self, v: int) -> float:
         self._check_vertex(v)
@@ -190,30 +201,24 @@ def format_weight(x: float) -> str:
     return repr(x)
 
 
-def format_weights(values: Iterable[float]) -> list[str]:
-    """``format_weight`` of each value, as a new list.
+def edge_lines(n: int, values: Iterable[float], sep: str) -> list[str]:
+    """``u{sep}v{sep}value`` for each value and its pair of ``pairs(n)``.
 
-    A finite float that is not integral formats as its ``repr``; every other
-    value, ints included, pays for ``format_weight``, which also raises on NaN
-    and infinities.
+    A finite non-integral float prints as its ``repr``; any other value, ints
+    included, goes through ``format_weight``, which raises on NaN and infinities.
     """
     isfinite = math.isfinite
     return [
-        repr(x)
+        f"{u}{sep}{v}{sep}{x!r}"
         if type(x) is float and isfinite(x) and not x.is_integer()
-        else format_weight(x)
-        for x in values
+        else f"{u}{sep}{v}{sep}{format_weight(x)}"
+        for (u, v), x in zip(pairs(n), values)
     ]
 
 
 def serialize_graph(g: CompleteWeightedGraph) -> str:
     """Text form of a graph; ``parse_graph`` inverts it exactly."""
-    lines = format_weights(g.weights)
-    for k, (u, v) in enumerate(g.edges()):
-        lines[k] = f"{u} {v} {lines[k]}"
-    lines.insert(0, f"n {g.n}")
-    lines.append("")
-    return "\n".join(lines)
+    return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights, " "), ""])
 
 
 def parse_graph(text: str) -> CompleteWeightedGraph:

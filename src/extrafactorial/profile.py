@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .efs import efs_all
 from .errors import GraphSyntaxError, OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, format_weights
+from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, edge_lines, pairs
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
@@ -37,8 +37,7 @@ class RankedProfile:
     efs: tuple[float, ...]
 
     def edge_sequence(self) -> tuple[EdgeKey, ...]:
-        n = self.n
-        edges = [EdgeKey(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = list(map(EdgeKey._make, pairs(self.n)))
         return tuple(edges[k] for k in self.order)
 
 
@@ -90,15 +89,9 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
 
 def export_profile_csv(p: RankedProfile) -> str:
     """CSV text "rank,u,v,efs" in rank order, full-precision values."""
-    n = p.n
     # "u,v,efs" cells are built in edge order, which reads efs in sequence;
     # only the rank prefix follows rank order
-    cells = format_weights(p.efs)
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            cells[k] = f"{u},{v},{cells[k]}"
-            k += 1
+    cells = edge_lines(p.n, p.efs, ",")
     # rows are joined a block at a time, so that the row strings of only one
     # block live beside the cells
     order = p.order
@@ -113,13 +106,14 @@ def export_profile_csv(p: RankedProfile) -> str:
 
 def parse_profile_csv(text: str) -> RankedProfile:
     """Inverse of :func:`export_profile_csv`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != "rank,u,v,efs":
-        raise GraphSyntaxError("expected header 'rank,u,v,efs'", 1)
+    lines = ((no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip())
+    line_no, header = next(lines, (1, ""))
+    if header.strip() != "rank,u,v,efs":
+        raise GraphSyntaxError("expected header 'rank,u,v,efs'", line_no)
     ranks: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    endpoints: list[tuple[int, int]] = []
     values: list[float] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines:
         parts = line.strip().split(",")
         if len(parts) != 4:
             raise GraphSyntaxError(f"expected 4 fields, got {len(parts)}", line_no)
@@ -129,14 +123,14 @@ def parse_profile_csv(text: str) -> RankedProfile:
         except ValueError:
             raise GraphSyntaxError(f"bad row {line!r}", line_no) from None
         ranks.append(rank)
-        pairs.append((u, v))
+        endpoints.append((u, v))
         values.append(value)
     count = len(values)
     # count = n(n-1)/2 determines the order
     n = (1 + math.isqrt(1 + 8 * count)) // 2
     if n * (n - 1) // 2 != count or n < 3:
         raise GraphSyntaxError(f"{count} rows is not a complete edge set", 1)
-    order = tuple(_pair_index(n, u, v) if 0 <= u < v < n else -1 for u, v in pairs)
+    order = tuple(_pair_index(n, u, v) if 0 <= u < v < n else -1 for u, v in endpoints)
     if sorted(order) != list(range(count)):
         raise GraphSyntaxError(f"rows do not cover all pairs of 0..{n - 1}", 1)
     if ranks != list(range(1, count + 1)):

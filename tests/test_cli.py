@@ -26,6 +26,14 @@ def g5_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def g13_file(tmp_path):
+    # one order past the default enumeration cap
+    path = tmp_path / "g13.txt"
+    path.write_text(serialize_graph(random_graph(13, 13)))
+    return str(path)
+
+
 class TestStats:
     def test_sample4(self, g4_file, capsys):
         assert run(["stats", g4_file]) == 0
@@ -150,6 +158,19 @@ class TestEnumerate:
         assert captured.out == ""
         assert "EnumerationCapExceeded" in captured.err
 
+    def test_cap_refusal_with_limit(self, g13_file, capsys):
+        # the cap is checked before the first cycle, whatever the limit
+        assert run(["enumerate", g13_file, "--limit", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "EnumerationCapExceeded" in captured.err
+
+    def test_max_order_lifts_the_cap(self, g13_file, capsys):
+        assert run(["enumerate", g13_file, "--max-order", "13", "--limit", "1"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err == ""
+
     def test_deterministic_output(self, g5_file, capsys):
         run(["enumerate", g5_file])
         first = capsys.readouterr().out
@@ -171,6 +192,18 @@ class TestVerify:
     def test_quiet_success_prints_nothing(self, g4_file, capsys):
         assert run(["--quiet", "verify", g4_file]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_override_below_order_refuses(self, g5_file, capsys):
+        assert run(["verify", g5_file, "--max-n-override", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "EnumerationCapExceeded" in captured.err
+
+    def test_override_at_order_passes(self, g5_file, capsys):
+        assert run(["verify", g5_file, "--max-n-override", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        assert all(line.startswith("PASS ") for line in lines)
 
     def test_byte_identical_runs(self, g5_file, capsys):
         run(["verify", g5_file])
@@ -239,6 +272,27 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "missing.wh" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "{bad}"],
+            ["efs", "{bad}"],
+            ["efs", "{bad}", "--edge", "0,1", "--csv"],
+            ["enumerate", "{bad}"],
+            ["verify", "{bad}"],
+            ["compare", "{bad}", "{good}"],
+            ["compare", "{good}", "{bad}"],
+        ],
+        ids=["stats", "efs", "efs-edge", "enumerate", "verify", "compare-a", "compare-b"],
+    )
+    def test_file_not_utf8_is_usage_error(self, tmp_path, g4_file, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"n 3\n0 1 1\n0 2 \xff\n1 2 3\n")
+        assert run([a.format(bad=bad, good=g4_file) for a in argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {str(bad)!r} is not UTF-8 text: invalid start byte at byte 14\n"
+        )
 
     def test_unknown_flag(self, g4_file):
         assert run(["stats", g4_file, "--nope"]) == 2

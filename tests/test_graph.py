@@ -25,7 +25,7 @@ from extrafactorial.errors import (
     VertexOutOfRange,
     XfsError,
 )
-from extrafactorial.graph import format_weights
+from extrafactorial.graph import _pair_index, edge_lines, pairs
 from oracles import GRAPH4_WEIGHTS, GRAPH5_WEIGHTS, build_graph_slots, make_zero_graph
 
 
@@ -34,10 +34,12 @@ def finite_weights(bound=1000.0):
 
 
 @st.composite
-def graphs(draw, min_n=3, max_n=7, bound=1000.0):
+def graphs(draw, min_n=3, max_n=7, bound=1000.0, weights=None):
     n = draw(st.integers(min_n, max_n))
     m = n * (n - 1) // 2
-    ws = draw(st.lists(finite_weights(bound), min_size=m, max_size=m))
+    if weights is None:
+        weights = finite_weights(bound)
+    ws = draw(st.lists(weights, min_size=m, max_size=m))
     return CompleteWeightedGraph(n, tuple(ws))
 
 
@@ -229,6 +231,28 @@ class TestAccess:
         ]
 
 
+#: Weights whose bits a copy can lose: both zeros and subnormals.
+SIGNED_TINY_WEIGHTS = st.one_of(
+    finite_weights(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308]),
+)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_pair_index_inverts_pairs(self, n):
+        assert [_pair_index(n, u, v) for u, v in pairs(n)] == list(range(n * (n - 1) // 2))
+
+    @given(graphs(weights=SIGNED_TINY_WEIGHTS))
+    @settings(max_examples=100)
+    def test_matrix_holds_each_weight_both_ways(self, g):
+        for u, v in pairs(g.n):
+            expected = float.hex(g.weight(u, v))
+            assert float.hex(g.matrix[u][v]) == expected
+            assert float.hex(g.matrix[v][u]) == expected
+        assert [float.hex(g.matrix[v][v]) for v in range(g.n)] == [float.hex(0.0)] * g.n
+
+
 class TestScale:
     def test_halving(self, graph4):
         h = graph4.scale(0.5)
@@ -357,14 +381,17 @@ class TestTextFormat:
     )
     @settings(max_examples=200)
     def test_format_weights_matches_format_weight(self, xs):
-        assert format_weights(xs) == [format_weight(x) for x in xs]
+        n = len(xs) + 2  # at least len(xs) pairs
+        assert edge_lines(n, xs, " ") == [
+            f"{u} {v} {format_weight(x)}" for (u, v), x in zip(pairs(n), xs)
+        ]
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_format_weights_non_finite_raises_like_format_weight(self, x):
         with pytest.raises((OverflowError, ValueError)) as expected:
             format_weight(x)
         with pytest.raises(expected.type) as got:
-            format_weights([1.5, x])
+            edge_lines(3, [1.5, x], " ")
         assert str(got.value) == str(expected.value)
 
 

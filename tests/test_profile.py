@@ -162,6 +162,21 @@ class TestCsv:
             parse_profile_csv("rank,u,v,efs\n1,0,1\n")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            # a blank line before the bad row still counts
+            ("rank,u,v,efs\n1,0,1,5\n\n2,0,2,6\n3,1,x,7\n", 5),
+            ("rank,u,v,efs\n\n1,0,1\n", 3),
+            ("\n\nrank,u,v\n1,0,1,5\n", 3),
+        ],
+        ids=["bad-row", "short-row", "bad-header"],
+    )
+    def test_error_names_the_raw_line(self, text, line_no):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_profile_csv(text)
+        assert exc.value.line_no == line_no
+
     def test_incomplete_edge_set(self):
         with pytest.raises(GraphSyntaxError):
             parse_profile_csv("rank,u,v,efs\n1,0,1,5\n2,0,2,6\n")
