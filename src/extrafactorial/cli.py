@@ -80,9 +80,12 @@ def _limit_arg(text: str) -> int:
 
 def _load(path: str) -> CompleteWeightedGraph:
     try:
-        return parse_graph(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # unreadable, like a missing file: exit 2
         raise OSError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    # a leading byte-order mark is dropped after decoding, so the byte offset
+    # of a decoding error still counts from the start of the file
+    return parse_graph(text.removeprefix("\ufeff"))
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -131,8 +134,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
     else:
         stream = enumerate_all(g.n, max_order=args.max_order)
+    write = sys.stdout.write
     for cycle in islice(stream, args.limit):
-        print(f"{cycle}  {_fmt(cycle_length(g, cycle))}")
+        write(f"{cycle}  {_fmt(cycle_length(g, cycle))}\n")
     return 0
 
 
@@ -283,8 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a seeded random graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
+    p.add_argument("--lo", type=float, default=0.0,
+                   help="lowest weight (default 0); a negative value in "
+                   "exponent form needs '=', as in --lo=-1e300")
+    p.add_argument("--hi", type=float, default=1.0,
+                   help="highest weight (default 1); a negative value in "
+                   "exponent form needs '=', as in --hi=-1e299")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_gen)
 

@@ -5,7 +5,10 @@ children of order L+1 by breaking each edge in turn and relinking its two
 endpoints through the new vertex. Seeding with the triangle [0, 1, 2] and
 inserting the remaining vertices in ascending order visits every dihedral
 equivalence class exactly once, because deleting the last-inserted vertex
-recovers a unique parent. Constrained variants protect one or two edges from
+recovers a unique parent. Inserting a vertex larger than the front vertex of a
+canonical cycle keeps that vertex smallest and in front, so only the child's
+reflection can need fixing; a full canonicalization runs only when the new
+vertex is the smallest. Constrained variants protect one or two edges from
 breaking, which restricts the output to the cycles traversing them; they seed
 with every cycle on the protected edges' vertices (topped up to three) that
 traverses all of them.
@@ -90,8 +93,12 @@ class HamiltonianCycle:
             prev = x
 
     def contains_edge(self, u: int, v: int) -> bool:
-        e = edge_key(u, v)
-        return e in self.edges()
+        a, b = edge_key(u, v)
+        verts = self.vertices
+        if a not in verts:
+            return False
+        i = verts.index(a)
+        return b == verts[i - 1] or b == verts[(i + 1) % len(verts)]
 
     def __str__(self) -> str:
         # closed-walk rendering, e.g. "0-2-1-3-0"
@@ -115,13 +122,17 @@ def canonicalize(raw: Iterable[int]) -> HamiltonianCycle:
 def _children(
     verts: tuple[int, ...], x: int, protected: frozenset[EdgeKey]
 ) -> list[tuple[int, ...]]:
-    # the canonical cycles made by inserting x into each edge of `verts` in
-    # turn, skipping the protected edges
-    return [
-        _canonical(verts[: i + 1] + (x,) + verts[i + 1 :])
+    # the canonical cycles made by inserting x into each edge of canonical
+    # `verts` in turn, skipping the protected edges
+    raw = (
+        verts[: i + 1] + (x,) + verts[i + 1 :]
         for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1]))
         if not protected or ((a, b) if a < b else (b, a)) not in protected
-    ]
+    )
+    if x < verts[0]:
+        return list(map(_canonical, raw))
+    # verts[0] stays the smallest vertex, in front: only the reflection can change
+    return [c if c[1] < c[-1] else c[:1] + c[:0:-1] for c in raw]
 
 
 def siva_insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import extrafactorial
-from extrafactorial import parse_graph, random_graph, serialize_graph
+from extrafactorial import cli, enumerate_all, parse_graph, random_graph, serialize_graph
 from extrafactorial.cli import run
+from extrafactorial.graph import edge_key
 from oracles import make_graph4, make_graph5
 
 
@@ -211,6 +212,17 @@ class TestVerify:
         run(["verify", g5_file])
         assert capsys.readouterr().out == first
 
+    def test_cycles_missing_the_edge_fail_membership(self, g5_file, capsys, monkeypatch):
+        # the right number of cycles, (n-2)!, none of which traverses the edge
+        def missing(n, e, *, max_order=None):
+            return (c for c in enumerate_all(n) if edge_key(*e) not in set(c.edges()))
+
+        monkeypatch.setattr(cli, "enumerate_through_edge", missing)
+        assert run(["verify", g5_file]) == 1
+        out = capsys.readouterr().out
+        assert "PASS through_edge_count\n" in out
+        assert "FAIL through_edge_membership\n" in out
+
 
 class TestCompare:
     def test_scaled_copy(self, tmp_path, capsys):
@@ -265,6 +277,15 @@ class TestGen:
         g = parse_graph(target.read_text())
         assert all(-3.0 <= w <= -1.0 for w in g.weights)
 
+    def test_negative_exponent_range_with_equals_sign(self, tmp_path):
+        # argparse reads a separate "-1e300" as an option; "--lo=-1e300" works
+        target = tmp_path / "r.txt"
+        argv = ["gen", "--n", "4", "--seed", "1", "--lo=-1e300", "--hi=-1e299",
+                "-o", str(target)]
+        assert run(argv) == 0
+        g = parse_graph(target.read_text())
+        assert all(-1e300 <= w <= -1e299 for w in g.weights)
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -292,6 +313,29 @@ class TestErrors:
         assert run([a.format(bad=bad, good=g4_file) for a in argv]) == 2
         assert capsys.readouterr() == (
             "", f"error: {str(bad)!r} is not UTF-8 text: invalid start byte at byte 14\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["stats"], ["efs"], ["efs", "--edge", "0,2"], ["enumerate"]],
+        ids=["stats", "efs", "efs-edge", "enumerate"],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, argv):
+        text = b"n 3\n0 1 1\n0 2 2\n1 2 3\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert run([argv[0], str(plain), *argv[1:]]) == 0
+        expected = capsys.readouterr()
+        assert run([argv[0], str(marked), *argv[1:]]) == 0
+        assert capsys.readouterr() == expected
+        assert expected.out
+
+    def test_byte_order_mark_keeps_file_byte_offsets(self, tmp_path, capsys):
+        bad = tmp_path / "bom-latin1.txt"
+        bad.write_bytes(b"\xef\xbb\xbfn 3\n0 1 1\n0 2 \xff\n1 2 3\n")
+        assert run(["stats", str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {str(bad)!r} is not UTF-8 text: invalid start byte at byte 17\n"
         )
 
     def test_unknown_flag(self, g4_file):

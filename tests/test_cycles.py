@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,16 +22,19 @@ from extrafactorial import (
     enumerate_through_pair,
     siva_insert,
 )
+from extrafactorial.cycles import _canonical, _children
 from extrafactorial.errors import (
     EnumerationCapExceeded,
     NotAPermutation,
     OrderMismatch,
     OrderTooSmall,
     SameEdge,
+    SelfLoop,
     TooShort,
     VertexAlreadyPresent,
     VertexOutOfRange,
 )
+from extrafactorial.graph import edge_key
 from oracles import (
     cycle_edge_set,
     make_zero_graph,
@@ -134,6 +137,34 @@ class TestVertexInsertion:
     def test_negative_vertex(self):
         with pytest.raises(VertexOutOfRange):
             siva_insert(canonicalize([0, 1, 2]), -1)
+
+    def test_new_smallest_vertex_moves_to_the_front(self):
+        children = siva_insert(HamiltonianCycle((2, 3, 4)), 0)
+        assert [c.vertices for c in children] == [(0, 2, 4, 3), (0, 3, 2, 4), (0, 2, 3, 4)]
+
+    def test_children_pinned_to_full_canonicalization(self):
+        # every canonical cycle on every 3- to 5-subset of range(7), every
+        # vertex off it (below and above the front vertex), and no, one or
+        # two protected edges: the children are the canonical forms of the
+        # insertions into the unprotected edges, in edge order
+        cases = 0
+        for size in (3, 4, 5):
+            for subset in combinations(range(7), size):
+                for verts in sorted(set(map(_canonical, permutations(subset)))):
+                    keys = [edge_key(a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
+                    protections = [frozenset()]
+                    protections += [frozenset((k,)) for k in keys]
+                    protections += [frozenset(p) for p in combinations(keys, 2)]
+                    for x in set(range(7)) - set(verts):
+                        for p in protections:
+                            expected = [
+                                _canonical(verts[: i + 1] + (x,) + verts[i + 1 :])
+                                for i, k in enumerate(keys)
+                                if k not in p
+                            ]
+                            assert _children(verts, x, p) == expected, (verts, x, p)
+                            cases += 1
+        assert cases > 10_000
 
 
 class TestEnumerateAll:
@@ -332,6 +363,23 @@ class TestCounts:
             count_all(2)
         with pytest.raises(OrderTooSmall):
             count_through_pair(3, EdgePairKind.NON_ADJACENT)
+
+
+class TestContainsEdge:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_agrees_with_the_edge_set(self, n):
+        # u != v over range(n + 1), so one pair per vertex leaves the cycle
+        for c in enumerate_all(n):
+            edges = set(c.edges())
+            for u, v in permutations(range(n + 1), 2):
+                assert c.contains_edge(u, v) == (edge_key(u, v) in edges), (c, u, v)
+
+    def test_errors(self):
+        c = canonicalize(range(5))
+        with pytest.raises(SelfLoop):
+            c.contains_edge(2, 2)
+        with pytest.raises(VertexOutOfRange):
+            c.contains_edge(-1, 0)
 
 
 class TestEdgeIncidence:
