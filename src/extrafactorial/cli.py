@@ -10,6 +10,9 @@ Subcommands
 
 Exit codes: 0 success, 1 domain error (bad graph, cap exceeded, arithmetic
 overflow, failed verification), 2 usage error (bad flags, unreadable file).
+On an error, every command except `enumerate` leaves stdout empty, and
+`enumerate` keeps the lines it printed before the error. Run it as the
+installed `xfs` script or as `python -m extrafactorial.cli`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import sys
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .cycles import (
@@ -32,10 +36,10 @@ from .cycles import (
     enumerate_through_pair,
 )
 from .efs import (
-    _overflow,
     edge_statistics,
     efs_all,
     mean_length_all,
+    mean_length_not_through,
     mean_squared_length,
     summational_graph,
 )
@@ -50,6 +54,8 @@ from .graph import (
 from .profile import compare_profiles, export_profile_csv, ranked_profile
 
 VERIFY_TOLERANCE = 1e-9
+
+Output = tuple[int, Iterable[str]]  # a handler's exit code and stdout lines
 
 
 def _fmt(x: float) -> str:
@@ -88,44 +94,39 @@ def _load(path: str) -> CompleteWeightedGraph:
     return parse_graph(text.removeprefix("\ufeff"))
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> Output:
     g = _load(args.file)
-    # every value is computed before any is printed, so an arithmetic error
-    # leaves stdout empty
-    lines = [
-        f"order {g.n}",
-        f"edges {g.edge_count}",
-        f"total_weight {_fmt(g.total_weight)}",
-        f"mean_length {_fmt(mean_length_all(g))}",
-        f"mean_squared_length {_fmt(mean_squared_length(g))}",
+    return 0, [
+        f"order {g.n}\n",
+        f"edges {g.edge_count}\n",
+        f"total_weight {_fmt(g.total_weight)}\n",
+        f"mean_length {_fmt(mean_length_all(g))}\n",
+        f"mean_squared_length {_fmt(mean_squared_length(g))}\n",
     ]
-    print("\n".join(lines))
-    return 0
 
 
-def _cmd_efs(args: argparse.Namespace) -> int:
+def _cmd_efs(args: argparse.Namespace) -> Output:
     g = _load(args.file)
     if args.edge is None:
-        sys.stdout.write(export_profile_csv(ranked_profile(g)))
-        return 0
+        return 0, [export_profile_csv(ranked_profile(g))]
     stats = edge_statistics(g, args.edge)
+    if g.n > 3:
+        mean_length_not_through(g, args.edge)  # raises OverflowError if not finite
     edge, *values = stats
     names = stats._fields[1:]
-    if g.n > 3 and not math.isfinite(stats.mean_not_through):
-        raise _overflow(edge, "mean_not_through")
     if args.csv:
         row = ["" if x is None else format_weight(x) for x in values]
-        print(",".join(["u", "v", *names]))
-        print(",".join([str(edge.u), str(edge.v), *row]))
-        return 0
-    print(f"edge {edge.u},{edge.v}")
-    for name, x in zip(names, values):
-        if x is not None:
-            print(f"{name} {_fmt(x)}")
-    return 0
+        return 0, [
+            ",".join(["u", "v", *names]) + "\n",
+            ",".join([str(edge.u), str(edge.v), *row]) + "\n",
+        ]
+    return 0, [
+        f"edge {edge.u},{edge.v}\n",
+        *(f"{name} {_fmt(x)}\n" for name, x in zip(names, values) if x is not None),
+    ]
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Output:
     g = _load(args.file)
     if args.through is not None:
         stream = enumerate_through_edge(g.n, args.through, max_order=args.max_order)
@@ -134,17 +135,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
     else:
         stream = enumerate_all(g.n, max_order=args.max_order)
-    write = sys.stdout.write
-    for cycle in islice(stream, args.limit):
-        write(f"{cycle}  {_fmt(cycle_length(g, cycle))}\n")
-    return 0
+    return 0, (f"{c}  {_fmt(cycle_length(g, c))}\n" for c in islice(stream, args.limit))
 
 
 def _close(value: float, reference: float) -> bool:
     return abs(value - reference) <= VERIFY_TOLERANCE * (1.0 + abs(reference))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     g = _load(args.file)
     n = g.n
     cap = args.max_n_override
@@ -198,34 +196,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sum(1 for _ in stream) == count_through_pair(n, kind)
         )
 
-    # the report is written only once every check has run, so an arithmetic
-    # error leaves stdout empty
+    report = []
     for name, ok in checks.items():
         if not ok:
             detail = details.get(name)
-            print(f"FAIL {name}: {detail}" if detail else f"FAIL {name}")
+            report.append(f"FAIL {name}: {detail}\n" if detail else f"FAIL {name}\n")
         elif not args.quiet:
-            print(f"PASS {name}")
-    return 0 if all(checks.values()) else 1
+            report.append(f"PASS {name}\n")
+    return (0 if all(checks.values()) else 1), report
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Output:
     p1 = ranked_profile(_load(args.file_a))
     p2 = ranked_profile(_load(args.file_b))
     outcome = compare_profiles(p1, p2)
-    print(f"same_ranking {'true' if outcome.same_ranking else 'false'}")
     scale = "none" if outcome.scale_factor is None else _fmt(outcome.scale_factor)
-    print(f"scale_factor {scale}")
-    print(f"max_relative_deviation {_fmt(outcome.max_relative_deviation)}")
-    return 0
+    return 0, [
+        f"same_ranking {'true' if outcome.same_ranking else 'false'}\n",
+        f"scale_factor {scale}\n",
+        f"max_relative_deviation {_fmt(outcome.max_relative_deviation)}\n",
+    ]
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Output:
     g = random_graph(args.n, args.seed, args.lo, args.hi)
     Path(args.output).write_text(serialize_graph(g), encoding="utf-8")
-    if not args.quiet:
-        print(f"wrote {args.output} (order {g.n}, {g.edge_count} edges)")
-    return 0
+    return 0, [] if args.quiet else [f"wrote {args.output} (order {g.n}, {g.edge_count} edges)\n"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,22 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pair", type=partial(_ints_arg, shape="u,v,x,y"),
                        help="only cycles through both 'u,v' and 'x,y'")
     p.add_argument("--limit", type=_limit_arg, help="stop after this many cycles")
-    p.add_argument(
-        "--max-order",
-        type=int,
-        dest="max_order",
-        help="override the enumeration cap",
-    )
+    p.add_argument("--max-order", type=int, help="override the enumeration cap")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="closed forms vs. the enumeration oracle")
     p.add_argument("file")
-    p.add_argument(
-        "--max-n-override",
-        type=int,
-        dest="max_n_override",
-        help="override the enumeration cap",
-    )
+    p.add_argument("--max-n-override", type=int, help="override the enumeration cap")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("compare", help="compare two graphs' ranked profiles")
@@ -300,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse, dispatch and write the handler's lines; returns the exit code.
+
+    This is the only write to stdout, so a handler that raises wrote nothing.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -308,7 +297,9 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        code, lines = args.handler(args)
+        sys.stdout.writelines(lines)
+        return code
     except (XfsError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -319,3 +310,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,13 +5,12 @@ children of order L+1 by breaking each edge in turn and relinking its two
 endpoints through the new vertex. Seeding with the triangle [0, 1, 2] and
 inserting the remaining vertices in ascending order visits every dihedral
 equivalence class exactly once, because deleting the last-inserted vertex
-recovers a unique parent. Inserting a vertex larger than the front vertex of a
-canonical cycle keeps that vertex smallest and in front, so only the child's
-reflection can need fixing; a full canonicalization runs only when the new
-vertex is the smallest. Constrained variants protect one or two edges from
-breaking, which restricts the output to the cycles traversing them; they seed
-with every cycle on the protected edges' vertices (topped up to three) that
-traverses all of them.
+recovers a unique parent. Each child is built starting at its smallest vertex
+(the parent's front vertex, or the new vertex when that is smaller), so only
+its reflection can need fixing. Constrained variants protect one or two edges
+from breaking, which restricts the output to the cycles traversing them; they
+seed with every cycle on the protected edges' vertices (topped up to three)
+that traverses all of them.
 
 A stream is a pipeline of lazy levels, one per inserted vertex: each level
 maps the cycles of the level before to their children and chains them, so the
@@ -124,14 +123,14 @@ def _children(
 ) -> list[tuple[int, ...]]:
     # the canonical cycles made by inserting x into each edge of canonical
     # `verts` in turn, skipping the protected edges
+    front = x < verts[0]  # x is the new smallest vertex: start each child at it
     raw = (
-        verts[: i + 1] + (x,) + verts[i + 1 :]
+        (x,) + verts[i + 1 :] + verts[: i + 1] if front
+        else verts[: i + 1] + (x,) + verts[i + 1 :]
         for i, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1]))
         if not protected or ((a, b) if a < b else (b, a)) not in protected
     )
-    if x < verts[0]:
-        return list(map(_canonical, raw))
-    # verts[0] stays the smallest vertex, in front: only the reflection can change
+    # each child starts at its smallest vertex: only the reflection can change
     return [c if c[1] < c[-1] else c[:1] + c[:0:-1] for c in raw]
 
 

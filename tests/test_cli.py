@@ -457,5 +457,39 @@ class TestErrors:
             f"error: OverflowError: {message} overflows the double range\n",
         )
 
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["first", "second"])
+    def test_compare_with_non_finite_efs_is_domain_error(
+        self, tmp_path, g4_file, capsys, nan_first
+    ):
+        path = tmp_path / "overflow.txt"
+        path.write_text(self.NAN_EFS)
+        files = [str(path), g4_file] if nan_first else [g4_file, str(path)]
+        assert run(["compare", *files]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: OverflowError: efs of edge (0, 1) overflows the double range\n",
+        )
+
     def test_version(self, capsys):
         assert run(["--version"]) == 0
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _module(*argv: str) -> subprocess.CompletedProcess:
+        # `python -m extrafactorial.cli`, the entry point without the installed script
+        src = str(Path(extrafactorial.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "extrafactorial.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    def test_prints_what_run_prints(self, g4_file, capsys):
+        child = self._module("stats", g4_file)
+        assert run(["stats", g4_file]) == 0
+        assert (child.returncode, child.stdout, child.stderr) == (
+            0, capsys.readouterr().out.encode(), b""
+        )
+
+    def test_no_arguments_is_usage_error(self):
+        assert self._module().returncode == 2
