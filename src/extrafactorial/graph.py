@@ -8,6 +8,15 @@ for cycle lengths. ``build_graph`` keeps its own cursor, as ``pairs`` would copy
 ``range(n)`` for any order a header claims; ``efs.efs_all`` slices rows, for
 speed. Instances are immutable and safe to share across threads; all
 operations are pure.
+
+``parse_graph`` has two readers of the text format. A well-formed file is
+read about 64 KiB of whole lines at a time: each chunk is split into tokens
+once and its three columns are converted by strided maps. Any text that
+reader cannot take as it is (a comment, a blank line before the last data
+line, a line end other than a line feed, a line without three tokens, a
+token that is not a number) goes whole to the line loop, which is the only reader that raises
+``GraphSyntaxError``. So an error's message and line number do not depend
+on the reader.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -108,10 +118,17 @@ class CompleteWeightedGraph:
     @cached_property
     def strengths(self) -> tuple[float, ...]:
         """Per-vertex sum of the n-1 incident weights."""
-        acc = [0.0] * self.n
-        for (u, v), w in zip(pairs(self.n), self.weights):
-            acc[u] += w
-            acc[v] += w
+        # row u adds its weights to acc[u] in order, then one each to the
+        # columns acc[u+1:]: the same additions in the same order as the loop
+        # ``acc[u] += w; acc[v] += w`` over the pairs
+        n, weights = self.n, self.weights
+        acc = [0.0] * n
+        start = 0
+        for u in range(n - 1):
+            row = weights[start : start + n - 1 - u]
+            start += n - 1 - u
+            acc[u] = reduce(add, row, acc[u])
+            acc[u + 1 :] = map(add, acc[u + 1 :], row)
         return tuple(acc)
 
     @cached_property
@@ -150,47 +167,56 @@ def build_graph(
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
     m = n * (n - 1) // 2
+    isfinite = math.isfinite
     # One pass. `weights` is the filled prefix of the row-major pairs and
     # (u, v) the pair that extends it: an entry for that pair is appended
     # without normalizing, and any other waits in `pending`, keyed by pair
     # index, until the prefix reaches it. Nothing is sized by n, which a file
-    # header can set arbitrarily high.
+    # header can set arbitrarily high. `size` is len(weights).
     weights: list[float] = []
     pending: dict[int, float] = {}
+    shuffled = False
+    size = 0
     u, v = 0, 1
     for raw, value in entries:
         a, b = raw
         if a == u and b == v:
-            k = len(weights)
+            k = size
         else:
             a, b = edge_key(a, b)
             if b >= n:
                 raise VertexOutOfRange(f"vertex {b} not in [0, {n})")
             k = _pair_index(n, a, b)
         w = float(value)
-        if not math.isfinite(w):
+        if not isfinite(w):
             raise NonFiniteWeight(f"weight {value!r} for edge {(a, b)} is not finite")
-        if k == len(weights):
+        if k == size:
             weights.append(w)
             while True:
+                size += 1
                 v += 1
                 if v == n:
                     u += 1
                     # past the last pair no entry may extend the prefix
                     v = u + 1 if u < n - 1 else None
-                if len(weights) not in pending:
+                if not pending or size not in pending:
                     break
-                weights.append(pending.pop(len(weights)))
+                weights.append(pending.pop(size))
         else:
-            old = weights[k] if k < len(weights) else pending.get(k)
+            old = weights[k] if k < size else pending.get(k)
             if old is not None and old != w:
                 raise DuplicateEdge(f"edge {(a, b)} given twice with {old!r} and {w!r}")
-            if k < len(weights):
+            if k < size:
                 weights[k] = w
             else:
                 pending[k] = w
-    if len(weights) < m:
+                shuffled = True
+    if size < m:
         raise MissingEdge(f"no weight for edge ({u}, {v})")
+    if shuffled:
+        # fresh floats allocated in row-major order, so that later passes over
+        # the weights read memory in order; `* 1.0` keeps -0.0
+        weights = [w * 1.0 for w in weights]
     return CompleteWeightedGraph(n, tuple(weights))
 
 
@@ -221,6 +247,16 @@ def serialize_graph(g: CompleteWeightedGraph) -> str:
     return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights, " "), ""])
 
 
+#: Characters that send a text to the line loop: a comment, the NUL that
+#: marks line ends for the chunked reader, and every line boundary of
+#: ``str.splitlines`` but the line feed.
+_IRREGULAR = "#\x00\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+#: The chunked reader tokenizes whole lines about this many characters at a time.
+_CHUNK_CHARS = 1 << 16
+
+_Columns = tuple[int, list[int], list[int], list[float]]
+
+
 def parse_graph(text: str) -> CompleteWeightedGraph:
     """Parse the graph text format.
 
@@ -228,7 +264,66 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     must read ``n <order>``; every following line is ``<u> <v> <weight>`` with
     integer vertex ids and a decimal weight (scientific notation allowed).
     All pairs must be present, in any order.
+
+    A text whose first line is the header and whose every other line holds
+    three tokens, with no comment and no line end other than a line feed, is
+    read in chunks of whole lines; blank lines may follow the last one. Any
+    other text goes to the line loop, which is the only reader that reports
+    a ``GraphSyntaxError``, with its line number; both give the same graph.
     """
+    n, us, vs, ws = _read_chunks(text) or _read_lines(text)
+    return build_graph(n, zip(zip(us, vs), ws))
+
+
+class _VertexIds(dict):
+    """Vertex token -> ``int(token)``, converting each distinct token once."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = vertex = int(token)
+        return vertex
+
+
+def _read_chunks(text: str) -> _Columns | None:
+    # Returns None, and never raises, on any text the line loop might read
+    # differently; each chunk is tokenized once and its columns converted by
+    # strided maps.
+    if any(c in text for c in _IRREGULAR):
+        return None
+    # trailing blank lines, as print(serialize_graph(g)) leaves, are ignored
+    stop = len(text)
+    while stop and text[stop - 1].isspace():
+        stop -= 1
+    start = text.find("\n", 0, stop) + 1 or stop
+    head = text[:start].split()
+    if len(head) != 2 or head[0] != "n":
+        return None
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    ids = _VertexIds()
+    try:
+        n = int(head[1])
+        while start < stop:
+            end = text.find("\n", start + _CHUNK_CHARS, stop) + 1 or stop
+            chunk = text[start:end]
+            if not chunk.endswith("\n"):
+                chunk += "\n"
+            # with each line end a NUL token, three tokens on every line put
+            # one NUL at every fourth place and nowhere else
+            lines = chunk.count("\n")
+            tokens = chunk.replace("\n", " \x00 ").split()
+            if len(tokens) != 4 * lines or tokens[3::4].count("\x00") != lines:
+                return None
+            us += map(ids.__getitem__, tokens[0::4])
+            vs += map(ids.__getitem__, tokens[1::4])
+            ws += map(float, tokens[2::4])
+            start = end
+    except ValueError:
+        return None
+    return n, us, vs, ws
+
+
+def _read_lines(text: str) -> _Columns:
     n: int | None = None
     # three flat columns: their ints and floats are not tracked by the cyclic
     # garbage collector, as a tuple per line would be
@@ -259,7 +354,7 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
             raise GraphSyntaxError(f"bad edge line {line!r}", line_no) from None
     if n is None:
         raise GraphSyntaxError("missing 'n <order>' header", max(line_no, 1))
-    return build_graph(n, zip(zip(us, vs), ws))
+    return n, us, vs, ws
 
 
 def random_graph(
@@ -274,7 +369,8 @@ def random_graph(
     """
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+    # uniform draws lo + (hi - lo) * r, so the width must be finite too
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)) or lo > hi:
         raise BadRange(f"bad weight range [{lo!r}, {hi!r}]")
     rng = random.Random(seed)
     m = n * (n - 1) // 2

@@ -21,7 +21,7 @@ from extrafactorial.errors import (
     OrderTooSmall,
     VertexOutOfRange,
 )
-from extrafactorial.graph import _pair_index
+from extrafactorial.graph import _pair_index, pairs
 
 # 4-vertex worked example (vertex letters A, B, C, D map to 0..3)
 GRAPH4_WEIGHTS = {
@@ -188,3 +188,16 @@ def build_graph_slots(
         v = k - _pair_index(n, u, u + 1) + u + 1
         raise MissingEdge(f"no weight for edge ({u}, {v})")
     return CompleteWeightedGraph(n, tuple(slots))  # type: ignore[arg-type]
+
+
+def strengths_loop(g: CompleteWeightedGraph) -> tuple[float, ...]:
+    """Reference ``strengths``: one ``+=`` per endpoint over the row-major pairs.
+
+    The package adds the same weights in the same order, a row at a time, so
+    the two agree bit for bit, overflow to infinities included.
+    """
+    acc = [0.0] * g.n
+    for (u, v), w in zip(pairs(g.n), g.weights):
+        acc[u] += w
+        acc[v] += w
+    return tuple(acc)

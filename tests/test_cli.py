@@ -2,15 +2,33 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import extrafactorial
-from extrafactorial import cli, enumerate_all, parse_graph, random_graph, serialize_graph
+from extrafactorial import (
+    cli,
+    enumerate_all,
+    export_profile_csv,
+    parse_graph,
+    random_graph,
+    ranked_profile,
+    serialize_graph,
+)
 from extrafactorial.cli import run
 from extrafactorial.graph import edge_key
 from oracles import make_graph4, make_graph5
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m extrafactorial.cli``, the entry point without the installed script."""
+    src = str(Path(extrafactorial.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "extrafactorial.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
 
 
 @pytest.fixture
@@ -105,6 +123,18 @@ class TestEfs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "VertexOutOfRange" in captured.err
+
+    def test_order_1000_profile_within_budget(self, tmp_path):
+        # the whole command in a fresh process: start-up, parse, efs, rank, CSV
+        g = random_graph(1000, 7)
+        path = tmp_path / "g1000.txt"
+        path.write_text(serialize_graph(g))
+        start = time.perf_counter()
+        child = run_module("efs", str(path))
+        elapsed = time.perf_counter() - start
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout.decode() == export_profile_csv(ranked_profile(g))
+        assert elapsed < 5.0, f"xfs efs at order 1000 took {elapsed:.2f}s"
 
 
 class TestEnumerate:
@@ -276,6 +306,17 @@ class TestGen:
         run(["gen", "--n", "5", "--seed", "2", "--lo", "-3", "--hi", "-1", "-o", str(target)])
         g = parse_graph(target.read_text())
         assert all(-3.0 <= w <= -1.0 for w in g.weights)
+
+    def test_overflowing_range_is_bad_range(self, tmp_path, capsys):
+        # both ends finite, but hi - lo overflows to inf
+        target = tmp_path / "r.txt"
+        argv = ["gen", "--n", "3", "--seed", "1", "--lo=-1.7e308", "--hi", "1.7e308",
+                "-o", str(target)]
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: BadRange: bad weight range [-1.7e+308, 1.7e+308]\n"
+        )
+        assert not target.exists()
 
     def test_negative_exponent_range_with_equals_sign(self, tmp_path):
         # argparse reads a separate "-1e300" as an option; "--lo=-1e300" works
@@ -475,21 +516,12 @@ class TestErrors:
 
 
 class TestModuleEntryPoint:
-    @staticmethod
-    def _module(*argv: str) -> subprocess.CompletedProcess:
-        # `python -m extrafactorial.cli`, the entry point without the installed script
-        src = str(Path(extrafactorial.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run([sys.executable, "-m", "extrafactorial.cli", *argv],
-                              capture_output=True, env=env, timeout=60)
-
     def test_prints_what_run_prints(self, g4_file, capsys):
-        child = self._module("stats", g4_file)
+        child = run_module("stats", g4_file)
         assert run(["stats", g4_file]) == 0
         assert (child.returncode, child.stdout, child.stderr) == (
             0, capsys.readouterr().out.encode(), b""
         )
 
     def test_no_arguments_is_usage_error(self):
-        assert self._module().returncode == 2
+        assert run_module().returncode == 2

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,15 @@ from extrafactorial.errors import (
     VertexOutOfRange,
     XfsError,
 )
-from extrafactorial.graph import _pair_index, edge_lines, pairs
-from oracles import GRAPH4_WEIGHTS, GRAPH5_WEIGHTS, build_graph_slots, make_zero_graph
+from extrafactorial import graph
+from extrafactorial.graph import _pair_index, _read_lines, edge_lines, pairs
+from oracles import (
+    GRAPH4_WEIGHTS,
+    GRAPH5_WEIGHTS,
+    build_graph_slots,
+    make_zero_graph,
+    strengths_loop,
+)
 
 
 def finite_weights(bound=1000.0):
@@ -277,7 +285,20 @@ class TestScale:
         )
 
 
+#: Weights whose sums overflow, cancel, or lose bits when added out of order.
+STRENGTH_WEIGHTS = st.one_of(
+    SIGNED_TINY_WEIGHTS,
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e16, -1e16, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestStrengthIdentity:
+    @given(graphs(max_n=9, weights=STRENGTH_WEIGHTS))
+    @settings(max_examples=300)
+    def test_matches_pair_loop(self, g):
+        assert list(map(float.hex, g.strengths)) == list(map(float.hex, strengths_loop(g)))
+
     @given(graphs(bound=1e6))
     @settings(max_examples=50)
     def test_strengths_sum_to_twice_total(self, g):
@@ -395,6 +416,109 @@ class TestTextFormat:
         assert str(got.value) == str(expected.value)
 
 
+#: Every line boundary that ``str.splitlines`` knows, "\r\n" included.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+NOISE = st.lists(st.sampled_from([*"0123456789.eE+- \t#\x00", *LINE_BREAKS]), max_size=12).map(
+    "".join
+)
+CLEAN_WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-9, 9).map(str)
+)
+WEIGHT_TOKENS = st.one_of(
+    CLEAN_WEIGHTS,
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "1e400", "1_0", "0x1", "2.", ".5e-3", "+3", "nan"]),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph texts near the well-formed one of an order-k graph.
+
+    The pairs come in row-major or shuffled order. The header, the weights
+    and the line ends are each either clean (``n k``, finite floats, line
+    feeds) or drawn from wider sets; other line ends come one kind per text,
+    on every line or mixed with line feeds. A few lines may be replaced by or
+    joined by noise, blank, comment or whitespace-only lines, or cut in two
+    at any place by any line end, and the last line end may be missing.
+    """
+    k = draw(st.integers(3, 5))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    weights = draw(st.sampled_from([CLEAN_WEIGHTS, WEIGHT_TOKENS]))
+    lines = [f"{u}{sep}{v}{sep}{draw(weights)}" for u, v in pairs(k)]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    headers = st.sampled_from([f" n\t{k} ", "n", f"n {k} 1", "m 3", "n x", "#n 3", ""])
+    clean_header = draw(st.booleans())
+    lines.insert(0, f"n {k}" if clean_header else draw(st.one_of(headers, NOISE)))
+    extras = st.one_of(NOISE, st.sampled_from(
+        ["", " ", "\t", "# c", "#", "0 1", "0 1 1 1", "0 1 2", "1 0 -0.0", "7 0 1", "0 0 1"]
+    ))
+    edits = st.tuples(st.sampled_from(["replace", "insert", "cut"]), st.integers(0, 99), extras)
+    for edit, i, extra in draw(st.lists(edits, max_size=3)):
+        if edit == "insert":
+            lines.insert(i % (len(lines) + 1), extra)
+            continue
+        i %= len(lines)
+        if edit == "replace":
+            lines[i] = extra
+        else:
+            spaces = [j for j, c in enumerate(lines[i]) if c in " \t"]
+            cut = draw(st.one_of(st.integers(0, len(lines[i])), st.sampled_from(spaces or [0])))
+            lines[i] = lines[i][:cut] + draw(st.sampled_from(LINE_BREAKS)) + lines[i][cut:]
+    other = draw(st.sampled_from(LINE_BREAKS))
+    breaks = draw(st.sampled_from([["\n"], [other], ["\n", "\n", other]]))
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parse_outcome(parse, text):
+    """The graph's order and exact weights, or the error's type, message and line."""
+    try:
+        g = parse(text)
+    except XfsError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return g.n, [w.hex() for w in g.weights]
+
+
+def line_loop(text):
+    n, us, vs, ws = _read_lines(text)
+    return build_graph(n, zip(zip(us, vs), ws))
+
+
+class TestReader:
+    @given(graph_texts(), st.sampled_from([1, 7, 40, graph._CHUNK_CHARS]))
+    @settings(max_examples=1000)
+    def test_matches_line_loop(self, text, chunk_chars):
+        # small chunks put chunk ends inside every kind of text
+        with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+            assert parse_outcome(parse_graph, text) == parse_outcome(line_loop, text)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS[1:])
+    def test_other_line_ends_go_to_the_line_loop(self, brk):
+        # split() reads each of them as a space, splitlines() as a line end
+        for text in [f"n{brk}3\n0 1 1\n", f"n 3\n0 1{brk}1\n0 2 2\n1 2 3\n"]:
+            assert graph._read_chunks(text) is None
+            assert parse_outcome(parse_graph, text) == parse_outcome(line_loop, text)
+
+    def test_well_formed_text_takes_the_chunked_reader(self):
+        text = serialize_graph(random_graph(40, 3))
+        columns = _read_lines(text)
+        # with or without the last line end, or with blank lines after it
+        for variant in (text, text.rstrip("\n"), text + "\n", text + " \n\t\n "):
+            assert graph._read_chunks(variant) == columns
+            with mock.patch.object(graph, "_CHUNK_CHARS", 64):
+                assert graph._read_chunks(variant) == columns
+
+    def test_three_tokens_on_each_line_not_only_in_total(self):
+        # six tokens on two lines stride into valid columns
+        text = "n 3\n0 1\n0.5 0 2 0.25\n1 2 1\n"
+        assert graph._read_chunks(text) is None
+        with pytest.raises(GraphSyntaxError, match=r"^line 2: expected '<u> <v> <weight>'$"):
+            parse_graph(text)
+
+
 class TestRandomGraph:
     def test_edge_count_n14(self):
         assert random_graph(14, 1).edge_count == 91
@@ -412,6 +536,10 @@ class TestRandomGraph:
     def test_bad_range(self):
         with pytest.raises(BadRange):
             random_graph(5, 1, 2.0, 1.0)
+
+    def test_overflowing_width(self):
+        with pytest.raises(BadRange, match=r"bad weight range \[-1.7e\+308, 1.7e\+308\]"):
+            random_graph(3, 1, -1.7e308, 1.7e308)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
