@@ -12,17 +12,18 @@ operations are pure.
 ``parse_graph`` has two readers of the text format. A well-formed file is
 read about 64 KiB of whole lines at a time: each chunk is split into tokens
 once and its three columns are converted by strided maps. Any text that
-reader cannot take as it is (a comment, a blank line before the last data
-line, a line end other than a line feed, a line without three tokens, a
-token that is not a number) goes whole to the line loop, which is the only reader that raises
-``GraphSyntaxError``. So an error's message and line number do not depend
-on the reader.
+reader cannot take as it is (a comment, a blank line, a line end other than
+a line feed, a line without three tokens, a token that is not a number) goes
+whole to the line loop, which is the only reader that raises
+``GraphSyntaxError``. So an error's message and line number do not depend on
+the reader.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -175,7 +176,6 @@ def build_graph(
     # header can set arbitrarily high. `size` is len(weights).
     weights: list[float] = []
     pending: dict[int, float] = {}
-    shuffled = False
     size = 0
     u, v = 0, 1
     for raw, value in entries:
@@ -210,13 +210,8 @@ def build_graph(
                 weights[k] = w
             else:
                 pending[k] = w
-                shuffled = True
     if size < m:
         raise MissingEdge(f"no weight for edge ({u}, {v})")
-    if shuffled:
-        # fresh floats allocated in row-major order, so that later passes over
-        # the weights read memory in order; `* 1.0` keeps -0.0
-        weights = [w * 1.0 for w in weights]
     return CompleteWeightedGraph(n, tuple(weights))
 
 
@@ -251,6 +246,8 @@ def serialize_graph(g: CompleteWeightedGraph) -> str:
 #: marks line ends for the chunked reader, and every line boundary of
 #: ``str.splitlines`` but the line feed.
 _IRREGULAR = "#\x00\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+#: A blank or whitespace-only line, which also sends a text to the line loop.
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 #: The chunked reader tokenizes whole lines about this many characters at a time.
 _CHUNK_CHARS = 1 << 16
 
@@ -266,10 +263,10 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     All pairs must be present, in any order.
 
     A text whose first line is the header and whose every other line holds
-    three tokens, with no comment and no line end other than a line feed, is
-    read in chunks of whole lines; blank lines may follow the last one. Any
-    other text goes to the line loop, which is the only reader that reports
-    a ``GraphSyntaxError``, with its line number; both give the same graph.
+    three tokens, with no comment, no blank line and no line end other than
+    a line feed, is read in chunks of whole lines. Any other text goes to the
+    line loop, which is the only reader that reports a ``GraphSyntaxError``,
+    with its line number; both give the same graph.
     """
     n, us, vs, ws = _read_chunks(text) or _read_lines(text)
     return build_graph(n, zip(zip(us, vs), ws))
@@ -287,12 +284,9 @@ def _read_chunks(text: str) -> _Columns | None:
     # Returns None, and never raises, on any text the line loop might read
     # differently; each chunk is tokenized once and its columns converted by
     # strided maps.
-    if any(c in text for c in _IRREGULAR):
+    if any(c in text for c in _IRREGULAR) or _BLANK_LINE.search(text):
         return None
-    # trailing blank lines, as print(serialize_graph(g)) leaves, are ignored
     stop = len(text)
-    while stop and text[stop - 1].isspace():
-        stop -= 1
     start = text.find("\n", 0, stop) + 1 or stop
     head = text[:start].split()
     if len(head) != 2 or head[0] != "n":

@@ -505,11 +505,22 @@ class TestReader:
     def test_well_formed_text_takes_the_chunked_reader(self):
         text = serialize_graph(random_graph(40, 3))
         columns = _read_lines(text)
-        # with or without the last line end, or with blank lines after it
-        for variant in (text, text.rstrip("\n"), text + "\n", text + " \n\t\n "):
+        # with or without the last line end
+        for variant in (text, text.rstrip("\n")):
             assert graph._read_chunks(variant) == columns
             with mock.patch.object(graph, "_CHUNK_CHARS", 64):
                 assert graph._read_chunks(variant) == columns
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t \x1f"])
+    def test_blank_lines_go_straight_to_the_line_loop(self, blank):
+        # found before any chunk is split into tokens, which the memo would see
+        g = random_graph(5, 3)
+        lines = serialize_graph(g).splitlines(keepends=True)
+        for i in (1, 5, len(lines)):
+            text = "".join([*lines[:i], blank + "\n", *lines[i:]])
+            with mock.patch.object(graph, "_VertexIds", side_effect=AssertionError):
+                assert graph._read_chunks(text) is None
+            assert parse_graph(text) == g
 
     def test_three_tokens_on_each_line_not_only_in_total(self):
         # six tokens on two lines stride into valid columns
