@@ -19,7 +19,6 @@ from .cycles import (
     enumerate_all,
     enumerate_through_edge,
     enumerate_through_pair,
-    siva_insert,
 )
 from .efs import (
     EdgeStatistics,
@@ -48,7 +47,6 @@ from .profile import (
     RankedProfile,
     compare_profiles,
     export_profile_csv,
-    parse_profile_csv,
     ranked_profile,
 )
 
@@ -87,11 +85,9 @@ __all__ = [
     "mean_length_through",
     "mean_squared_length",
     "parse_graph",
-    "parse_profile_csv",
     "random_graph",
     "ranked_profile",
     "serialize_graph",
-    "siva_insert",
     "summational_graph",
     "__version__",
 ]

@@ -10,6 +10,7 @@ Subcommands
 
 Exit codes: 0 success, 1 domain error (bad graph, cap exceeded, arithmetic
 overflow, failed verification), 2 usage error (bad flags, unreadable file).
+A reader that closes stdout early ends the process by SIGPIPE, quietly.
 On an error, every command except `enumerate` leaves stdout empty, and
 `enumerate` keeps the lines it printed before the error. Run it as the
 installed `xfs` script or as `python -m extrafactorial.cli`.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 from functools import partial
 from itertools import islice
@@ -309,6 +311,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # a reader that closes stdout early (`xfs enumerate g.txt | head -1`) ends
+    # the process quietly, as it ends other Unix filters
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

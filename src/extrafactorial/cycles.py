@@ -31,11 +31,11 @@ from typing import Iterable, Iterator
 from .errors import (
     EnumerationCapExceeded,
     NotAPermutation,
+    NotCanonical,
     OrderMismatch,
     OrderTooSmall,
     SameEdge,
     TooShort,
-    VertexAlreadyPresent,
     VertexOutOfRange,
 )
 from .graph import CompleteWeightedGraph, EdgeKey, edge_key
@@ -73,16 +73,11 @@ class HamiltonianCycle:
         if len(set(v)) != len(v):
             raise NotAPermutation(f"repeated vertex in {v}")
         if v[0] != min(v) or v[1] > v[-1]:
-            raise ValueError(f"{v} is not in canonical rotation/reflection")
+            raise NotCanonical(f"{v} is not in canonical rotation/reflection")
 
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    @property
-    def generation(self) -> int:
-        """Insertion depth below the seed triangle: order minus 3."""
-        return len(self.vertices) - 3
 
     def edges(self) -> Iterator[EdgeKey]:
         v = self.vertices
@@ -132,22 +127,6 @@ def _children(
     )
     # each child starts at its smallest vertex: only the reflection can change
     return [c if c[1] < c[-1] else c[:1] + c[:0:-1] for c in raw]
-
-
-def siva_insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
-    """All children of `cycle` obtained by inserting vertex `x`.
-
-    Child i breaks the i-th edge of the parent and relinks both endpoints
-    through x, giving exactly `cycle.order` pairwise-distinct canonical
-    children, each one vertex longer and one generation deeper. The parent
-    itself is never among the results.
-    """
-    if x < 0:
-        raise VertexOutOfRange(f"vertex ids must be non-negative, got {x}")
-    verts = cycle.vertices
-    if x in verts:
-        raise VertexAlreadyPresent(f"vertex {x} already on cycle {verts}")
-    return [HamiltonianCycle(c) for c in _children(verts, x, frozenset())]
 
 
 def _check_order(n: int, max_order: int | None) -> None:

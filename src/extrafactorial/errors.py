@@ -47,7 +47,7 @@ class BadRange(XfsError):
 
 
 class GraphSyntaxError(XfsError):
-    """Malformed graph or profile text; carries the offending line number."""
+    """Malformed graph text; carries the offending line number."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
@@ -61,12 +61,12 @@ class NotAPermutation(XfsError):
     """Cycle input must list distinct vertices."""
 
 
+class NotCanonical(XfsError):
+    """A directly constructed cycle must be in canonical rotation/reflection."""
+
+
 class TooShort(XfsError):
     """Cycles need at least three vertices."""
-
-
-class VertexAlreadyPresent(XfsError):
-    """The vertex to insert already lies on the cycle."""
 
 
 class EnumerationCapExceeded(XfsError):

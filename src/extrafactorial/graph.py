@@ -94,14 +94,11 @@ class CompleteWeightedGraph:
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in [0, {self.n})")
-
     def edge(self, u: int, v: int) -> EdgeKey:
         """Validate (u, v) against this graph and return the normalized key."""
         e = edge_key(u, v)
-        self._check_vertex(e.v)
+        if e.v >= self.n:
+            raise VertexOutOfRange(f"vertex {e.v} not in [0, {self.n})")
         return e
 
     def weight(self, u: int, v: int) -> float:
@@ -139,10 +136,6 @@ class CompleteWeightedGraph:
         for (u, v), w in zip(pairs(self.n), self.weights):
             rows[u][v] = rows[v][u] = w
         return tuple(map(tuple, rows))
-
-    def vertex_strength(self, v: int) -> float:
-        self._check_vertex(v)
-        return self.strengths[v]
 
     @cached_property
     def total_weight(self) -> float:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .efs import efs_all
-from .errors import GraphSyntaxError, OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, _pair_index, edge_lines, pairs
+from .errors import OrderMismatch
+from .graph import CompleteWeightedGraph, EdgeKey, edge_lines, pairs
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
@@ -102,40 +102,3 @@ def export_profile_csv(p: RankedProfile) -> str:
     del cells
     blocks.append("")
     return "\n".join(blocks)
-
-
-def parse_profile_csv(text: str) -> RankedProfile:
-    """Inverse of :func:`export_profile_csv`."""
-    lines = ((no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip())
-    line_no, header = next(lines, (1, ""))
-    if header.strip() != "rank,u,v,efs":
-        raise GraphSyntaxError("expected header 'rank,u,v,efs'", line_no)
-    ranks: list[int] = []
-    endpoints: list[tuple[int, int]] = []
-    values: list[float] = []
-    for line_no, line in lines:
-        parts = line.strip().split(",")
-        if len(parts) != 4:
-            raise GraphSyntaxError(f"expected 4 fields, got {len(parts)}", line_no)
-        try:
-            rank, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-            value = float(parts[3])
-        except ValueError:
-            raise GraphSyntaxError(f"bad row {line!r}", line_no) from None
-        ranks.append(rank)
-        endpoints.append((u, v))
-        values.append(value)
-    count = len(values)
-    # count = n(n-1)/2 determines the order
-    n = (1 + math.isqrt(1 + 8 * count)) // 2
-    if n * (n - 1) // 2 != count or n < 3:
-        raise GraphSyntaxError(f"{count} rows is not a complete edge set", 1)
-    order = tuple(_pair_index(n, u, v) if 0 <= u < v < n else -1 for u, v in endpoints)
-    if sorted(order) != list(range(count)):
-        raise GraphSyntaxError(f"rows do not cover all pairs of 0..{n - 1}", 1)
-    if ranks != list(range(1, count + 1)):
-        raise GraphSyntaxError("ranks must be consecutive from 1", 1)
-    efs = [0.0] * count
-    for k, value in zip(order, values):
-        efs[k] = value
-    return RankedProfile(n, order, tuple(efs))

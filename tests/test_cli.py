@@ -1,5 +1,6 @@
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +22,17 @@ from extrafactorial.graph import edge_key
 from oracles import make_graph4, make_graph5
 
 
+def child_env() -> dict[str, str]:
+    """The environment for a child Python that imports this package."""
+    src = str(Path(extrafactorial.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_module(*argv: str) -> subprocess.CompletedProcess:
     """``python -m extrafactorial.cli``, the entry point without the installed script."""
-    src = str(Path(extrafactorial.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "extrafactorial.cli", *argv],
-                          capture_output=True, env=env, timeout=60)
+                          capture_output=True, env=child_env(), timeout=60)
 
 
 @pytest.fixture
@@ -400,14 +405,11 @@ class TestErrors:
         # an allocation sized by the header fails this test alone.
         huge = tmp_path / "huge.txt"
         huge.write_text("n 1000000000\n0 1 1\n")
-        src = str(Path(extrafactorial.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         limit = 1 << 30
         child = subprocess.run(
             [sys.executable, "-c", "from extrafactorial.cli import main; main()",
              "stats", str(huge)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert (child.returncode, child.stdout, child.stderr) == (
@@ -526,3 +528,18 @@ class TestModuleEntryPoint:
 
     def test_no_arguments_is_usage_error(self):
         assert run_module().returncode == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # order 9 prints far more than a pipe buffers, so the child is still
+        # writing when the reader closes its end after one line
+        path = tmp_path / "g9.txt"
+        path.write_text(serialize_graph(random_graph(9, 1)))
+        with subprocess.Popen(
+            [sys.executable, "-m", "extrafactorial.cli", "enumerate", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as child:
+            assert child.stdout.readline()
+            child.stdout.close()
+            assert child.stderr.read() == b""
+            assert child.wait(timeout=60) == -signal.SIGPIPE

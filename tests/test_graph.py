@@ -217,11 +217,9 @@ class TestAccess:
         assert graph5.weight(3, 2) == 15.0  # the recovered weight
 
     def test_strengths(self, graph4):
-        assert graph4.vertex_strength(0) == 27.0  # 12 + 8 + 7
-        assert graph4.vertex_strength(2) == 14.0  # 8 + 4 + 2
-        assert make_zero_graph(5).vertex_strength(3) == 0.0
-        with pytest.raises(VertexOutOfRange):
-            graph4.vertex_strength(4)
+        assert graph4.strengths[0] == 27.0  # 12 + 8 + 7
+        assert graph4.strengths[2] == 14.0  # 8 + 4 + 2
+        assert make_zero_graph(5).strengths[3] == 0.0
 
     def test_total_weight(self, graph4, graph5):
         assert graph4.total_weight == 38.0
