@@ -4,10 +4,9 @@ A graph of order n stores one real weight per unordered vertex pair, kept in a
 flat tuple ordered row-major over pairs (u, v) with u < v. This module owns
 that layout: ``pairs`` yields it, ``_pair_index`` inverts it, ``edge_lines``
 writes per-edge arrays in it, and ``CompleteWeightedGraph.matrix`` unfolds it
-for cycle lengths. ``build_graph`` keeps its own cursor, as ``pairs`` would copy
-``range(n)`` for any order a header claims; ``efs.efs_all`` slices rows, for
-speed. Instances are immutable and safe to share across threads; all
-operations are pure.
+for cycle lengths. ``build_graph`` takes columns already in it as they are;
+``efs.efs_all`` slices rows, for speed. Instances are immutable and safe to
+share across threads; all operations are pure.
 
 ``parse_graph`` has two readers of the text format. A well-formed file is
 read about 64 KiB of whole lines at a time: each chunk is split into tokens
@@ -16,7 +15,8 @@ reader cannot take as it is (a comment, a blank line, a line end other than
 a line feed, a line without three tokens, a token that is not a number) goes
 whole to the line loop, which is the only reader that raises
 ``GraphSyntaxError``. So an error's message and line number do not depend on
-the reader.
+the reader. Both return three columns, which ``build_graph`` turns into the
+graph.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, combinations, repeat
+from operator import add, eq
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRange,
@@ -148,64 +148,55 @@ class CompleteWeightedGraph:
         return CompleteWeightedGraph(self.n, tuple(w * c for w in self.weights))
 
 
-def build_graph(
-    n: int, entries: Iterable[tuple[tuple[int, int], float]]
-) -> CompleteWeightedGraph:
-    """Build a graph from (pair, weight) entries covering every pair exactly once.
+def _row_major(n: int) -> tuple[Iterator[int], Iterator[int]]:
+    # the u and v columns of ``pairs(n)``, lazily: a file header can set n
+    # arbitrarily high, and ``pairs`` would copy ``range(n)``
+    return (
+        chain.from_iterable(map(repeat, range(n - 1), range(n - 1, 0, -1))),
+        chain.from_iterable(map(range, range(1, n), repeat(n))),
+    )
 
-    Pairs given as (v, u) with v > u are normalized before insertion. Repeating
-    a pair with the identical value is accepted; a conflicting repeat raises
-    DuplicateEdge. Entries in row-major pair order, as ``serialize_graph``
-    writes them, take the fast path; any order gives the same graph.
+
+def build_graph(
+    n: int, us: Sequence[int], vs: Sequence[int], ws: Sequence[float]
+) -> CompleteWeightedGraph:
+    """Build a graph from three columns: pair (us[i], vs[i]) has weight ws[i].
+
+    Every pair must be given, with its vertices in either order and the pairs
+    in any order. Repeating a pair with an equal value is accepted and the
+    last is kept; a conflicting repeat raises DuplicateEdge. Columns that list
+    the pairs in row-major order, as ``serialize_graph`` writes them, with
+    finite weights are taken as they are. Any other columns go through one
+    dict keyed by pair index, which reports the first error in column order.
     """
+    if not len(us) == len(vs) == len(ws):
+        raise ValueError(f"columns of lengths {len(us)}, {len(vs)} and {len(ws)} differ")
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
     m = n * (n - 1) // 2
+    rows, cols = _row_major(n)
     isfinite = math.isfinite
-    # One pass. `weights` is the filled prefix of the row-major pairs and
-    # (u, v) the pair that extends it: an entry for that pair is appended
-    # without normalizing, and any other waits in `pending`, keyed by pair
-    # index, until the prefix reaches it. Nothing is sized by n, which a file
-    # header can set arbitrarily high. `size` is len(weights).
-    weights: list[float] = []
-    pending: dict[int, float] = {}
-    size = 0
-    u, v = 0, 1
-    for raw, value in entries:
-        a, b = raw
-        if a == u and b == v:
-            k = size
-        else:
-            a, b = edge_key(a, b)
-            if b >= n:
-                raise VertexOutOfRange(f"vertex {b} not in [0, {n})")
-            k = _pair_index(n, a, b)
+    row_major = len(ws) == m and all(map(eq, us, rows)) and all(map(eq, vs, cols))
+    if row_major and all(map(isfinite, ws)):
+        return CompleteWeightedGraph(n, tuple(map(float, ws)))
+    slots: dict[int, float] = {}
+    for a, b, value in zip(us, vs, ws):
+        a, b = edge_key(a, b)
+        if b >= n:
+            raise VertexOutOfRange(f"vertex {b} not in [0, {n})")
         w = float(value)
         if not isfinite(w):
             raise NonFiniteWeight(f"weight {value!r} for edge {(a, b)} is not finite")
-        if k == size:
-            weights.append(w)
-            while True:
-                size += 1
-                v += 1
-                if v == n:
-                    u += 1
-                    # past the last pair no entry may extend the prefix
-                    v = u + 1 if u < n - 1 else None
-                if not pending or size not in pending:
-                    break
-                weights.append(pending.pop(size))
-        else:
-            old = weights[k] if k < size else pending.get(k)
-            if old is not None and old != w:
-                raise DuplicateEdge(f"edge {(a, b)} given twice with {old!r} and {w!r}")
-            if k < size:
-                weights[k] = w
-            else:
-                pending[k] = w
-    if size < m:
+        k = _pair_index(n, a, b)
+        old = slots.get(k)
+        if old is not None and old != w:
+            raise DuplicateEdge(f"edge {(a, b)} given twice with {old!r} and {w!r}")
+        slots[k] = w
+    if len(slots) < m:
+        # the first absent pair is at most len(slots) pairs in
+        u, v = next(p for k, p in enumerate(zip(*_row_major(n))) if k not in slots)
         raise MissingEdge(f"no weight for edge ({u}, {v})")
-    return CompleteWeightedGraph(n, tuple(weights))
+    return CompleteWeightedGraph(n, tuple(map(slots.__getitem__, range(m))))
 
 
 def format_weight(x: float) -> str:
@@ -261,8 +252,7 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     line loop, which is the only reader that reports a ``GraphSyntaxError``,
     with its line number; both give the same graph.
     """
-    n, us, vs, ws = _read_chunks(text) or _read_lines(text)
-    return build_graph(n, zip(zip(us, vs), ws))
+    return build_graph(*(_read_chunks(text) or _read_lines(text)))
 
 
 class _VertexIds(dict):

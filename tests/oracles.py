@@ -51,11 +51,11 @@ GRAPH5_WEIGHTS = {
 
 
 def make_graph4() -> CompleteWeightedGraph:
-    return build_graph(4, list(GRAPH4_WEIGHTS.items()))
+    return build_graph(4, *zip(*GRAPH4_WEIGHTS), list(GRAPH4_WEIGHTS.values()))
 
 
 def make_graph5() -> CompleteWeightedGraph:
-    return build_graph(5, list(GRAPH5_WEIGHTS.items()))
+    return build_graph(5, *zip(*GRAPH5_WEIGHTS), list(GRAPH5_WEIGHTS.values()))
 
 
 def make_zero_graph(n: int) -> CompleteWeightedGraph:
@@ -158,7 +158,7 @@ def build_graph_slots(
     pair slots and look for the first empty one.
 
     The package builds the same graph, or raises the same error with the same
-    message, in one streaming pass.
+    message, from the entries' three columns.
     """
     if n < 3:
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")

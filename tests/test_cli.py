@@ -9,6 +9,7 @@ import pytest
 
 import extrafactorial
 from extrafactorial import (
+    CompleteWeightedGraph,
     cli,
     enumerate_all,
     export_profile_csv,
@@ -429,6 +430,26 @@ class TestErrors:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         assert run(["stats", str(path)]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "old, new, err",
+        [
+            ("1 3 6\n", "1 3 inf\n",
+             "error: NonFiniteWeight: weight inf for edge (1, 3) is not finite\n"),
+            ("1 3 6\n", "1 3 6\n3 1 6.5\n",
+             "error: DuplicateEdge: edge (1, 3) given twice with 6.0 and 6.5\n"),
+        ],
+    )
+    def test_row_major_file_rejected_with_the_loops_message(
+        self, tmp_path, capsys, old, new, err
+    ):
+        # every pair in row-major order, one weight infinite or one line repeated
+        text = serialize_graph(CompleteWeightedGraph(5, tuple(map(float, range(1, 11)))))
+        assert old in text
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(old, new))
+        assert run(["efs", str(path)]) == 1
         assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from extrafactorial import graph
 from extrafactorial.graph import _pair_index, _read_lines, edge_lines, pairs
 from oracles import (
     GRAPH4_WEIGHTS,
-    GRAPH5_WEIGHTS,
     build_graph_slots,
     make_zero_graph,
     strengths_loop,
@@ -105,6 +104,13 @@ def entry_lists(draw):
     return n, entries
 
 
+def build_from_entries(n, entries):
+    """``build_graph`` on the three columns of ((u, v), weight) entries."""
+    us = [u for (u, _), _ in entries]
+    vs = [v for (_, v), _ in entries]
+    return build_graph(n, us, vs, [w for _, w in entries])
+
+
 def build_outcome(build, n, entries):
     """The graph's order and exact weights, or the error's type and message."""
     try:
@@ -137,70 +143,90 @@ class TestBuildGraph:
         assert graph4.weight(2, 3) == 2.0
 
     def test_all_zero(self):
-        g = build_graph(3, [((0, 1), 0.0), ((0, 2), 0.0), ((1, 2), 0.0)])
+        g = build_graph(3, [0, 0, 1], [1, 2, 2], [0.0, 0.0, 0.0])
         assert g.total_weight == 0.0
 
     def test_missing_edge(self):
         entries = list(GRAPH4_WEIGHTS.items())[:5]
-        with pytest.raises(MissingEdge):
-            build_graph(4, entries)
+        with pytest.raises(MissingEdge, match=r"no weight for edge \(2, 3\)"):
+            build_from_entries(4, entries)
 
     def test_order_far_beyond_entries(self):
         # 5e17 pairs promised, one given: no slot per promised pair is allocated
         with pytest.raises(MissingEdge, match=r"no weight for edge \(0, 2\)"):
-            build_graph(10**9, [((0, 1), 1.0)])
+            build_graph(10**9, [0], [1], [1.0])
         # the entries are still validated before the missing pair is named
         with pytest.raises(NonFiniteWeight):
-            build_graph(10**9, [((0, 1), math.inf)])
+            build_graph(10**9, [0], [1], [math.inf])
         with pytest.raises(DuplicateEdge):
-            build_graph(10**9, [((0, 1), 1.0), ((1, 0), 2.0)])
+            build_graph(10**9, [0, 1], [1, 0], [1.0, 2.0])
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
-            build_graph(2, [((0, 1), 1.0)])
+            build_graph(2, [0], [1], [1.0])
+
+    def test_unequal_columns(self):
+        # zip would drop the tail of the longer columns; the lengths are checked
+        # before any entry is read, so the self-loop (5, 5) is not reported
+        cases = [
+            ([0, 0], [1, 2], [1.0]),
+            ([0], [1, 2], [1.0, 2.0]),
+            ([0, 0, 1, 5], [1, 2, 2, 5], [1.0, 2.0, 3.0]),
+        ]
+        for us, vs, ws in cases:
+            with pytest.raises(ValueError, match=r"^columns of lengths \d, \d and \d differ$"):
+                build_graph(3, us, vs, ws)
 
     def test_unnormalized_entries(self):
-        g = build_graph(3, [((1, 0), 1.0), ((2, 0), 2.0), ((2, 1), 3.0)])
+        g = build_graph(3, [1, 2, 2], [0, 0, 1], [1.0, 2.0, 3.0])
         assert g.weight(0, 1) == 1.0
         assert g.weight(1, 2) == 3.0
 
     def test_duplicate_identical_ok(self):
-        g = build_graph(
-            3, [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((1, 0), 1.0)]
-        )
+        g = build_graph(3, [0, 0, 1, 1], [1, 2, 2, 0], [1.0, 2.0, 3.0, 1.0])
         assert g.weight(0, 1) == 1.0
 
     def test_duplicate_conflicting(self):
         with pytest.raises(DuplicateEdge):
-            build_graph(
-                3, [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((1, 0), 1.5)]
-            )
+            build_graph(3, [0, 0, 1, 1], [1, 2, 2, 0], [1.0, 2.0, 3.0, 1.5])
         # (0, 2) first arrives out of row-major order, then in it
         with pytest.raises(DuplicateEdge, match=r"edge \(0, 2\) given twice with 2.0 and 2.5"):
-            build_graph(
-                3, [((0, 2), 2.0), ((0, 1), 1.0), ((0, 2), 2.5), ((1, 2), 3.0)]
-            )
+            build_graph(3, [0, 0, 0, 1], [2, 1, 2, 2], [2.0, 1.0, 2.5, 3.0])
+
+    def test_row_major_columns_are_taken_as_they_are(self):
+        g = random_graph(40, 3)
+        # no pair is normalized, so the shortcut took them
+        with mock.patch.object(graph, "edge_key", side_effect=AssertionError):
+            assert parse_graph(serialize_graph(g)) == g
+
+    def test_reversed_columns_go_through_the_loop(self):
+        g = random_graph(40, 3)
+        header, *lines = serialize_graph(g).splitlines(keepends=True)
+        with mock.patch.object(graph, "edge_key", wraps=graph.edge_key) as spy:
+            h = parse_graph("".join([header, *reversed(lines)]))
+        assert spy.call_count == g.edge_count
+        assert [w.hex() for w in h.weights] == [w.hex() for w in g.weights]
 
     @given(entry_lists())
     @settings(max_examples=500)
     def test_matches_slot_table_reference(self, case):
         n, entries = case
-        assert build_outcome(build_graph, n, iter(entries)) == build_outcome(
+        assert build_outcome(build_from_entries, n, entries) == build_outcome(
             build_graph_slots, n, entries
         )
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteWeight):
-            build_graph(3, [((0, 1), math.nan), ((0, 2), 2.0), ((1, 2), 3.0)])
+            build_graph(3, [0, 0, 1], [1, 2, 2], [math.nan, 2.0, 3.0])
         with pytest.raises(NonFiniteWeight):
-            build_graph(3, [((0, 1), math.inf), ((0, 2), 2.0), ((1, 2), 3.0)])
+            build_graph(3, [0, 0, 1], [1, 2, 2], [math.inf, 2.0, 3.0])
 
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
-            build_graph(3, [((0, 3), 1.0), ((0, 2), 2.0), ((1, 2), 3.0)])
+            build_graph(3, [0, 0, 1], [3, 2, 2], [1.0, 2.0, 3.0])
         # the pair after the last one, once every pair has its weight
         with pytest.raises(VertexOutOfRange, match=r"vertex 3 not in \[0, 3\)"):
-            build_graph(3, [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((2, 3), 1.0)])
+            build_graph(3, [0, 0, 1, 2], [1, 2, 2, 3], [1.0, 2.0, 3.0, 1.0])
 
 
 class TestAccess:
@@ -481,8 +507,7 @@ def parse_outcome(parse, text):
 
 
 def line_loop(text):
-    n, us, vs, ws = _read_lines(text)
-    return build_graph(n, zip(zip(us, vs), ws))
+    return build_graph(*_read_lines(text))
 
 
 class TestReader:

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from extrafactorial import (
     CompleteWeightedGraph,
-    EdgeKey,
     compare_profiles,
     efs_all,
     export_profile_csv,
