@@ -8,22 +8,18 @@ for cycle lengths. ``build_graph`` takes columns already in it as they are;
 ``efs.efs_all`` slices rows, for speed. Instances are immutable and safe to
 share across threads; all operations are pure.
 
-``parse_graph`` has two readers of the text format. A well-formed file is
-read about 64 KiB of whole lines at a time: each chunk is split into tokens
-once and its three columns are converted by strided maps. Any text that
-reader cannot take as it is (a comment, a blank line, a line end other than
-a line feed, a line without three tokens, a token that is not a number) goes
-whole to the line loop, which is the only reader that raises
-``GraphSyntaxError``. So an error's message and line number do not depend on
-the reader. Both return three columns, which ``build_graph`` turns into the
-graph.
+``parse_graph`` reads the text format in blocks of whole lines. A block of
+lines that each hold three numbers, as ``serialize_graph`` writes them, is
+split into tokens at once and its three columns are converted by strided
+maps. Any other block goes through the line loop, which is the only source
+of ``GraphSyntaxError``, so an error's message and line number do not depend
+on where the blocks end. ``build_graph`` turns the columns into the graph.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
@@ -201,6 +197,8 @@ def build_graph(
 
 def format_weight(x: float) -> str:
     """Shortest decimal that parses back to exactly the same float."""
+    if x == 0 and math.copysign(1.0, x) < 0:
+        return "-0.0"  # int(-0.0) prints as "0", which parses back as +0.0
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
@@ -226,16 +224,11 @@ def serialize_graph(g: CompleteWeightedGraph) -> str:
     return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights, " "), ""])
 
 
-#: Characters that send a text to the line loop: a comment, the NUL that
-#: marks line ends for the chunked reader, and every line boundary of
-#: ``str.splitlines`` but the line feed.
-_IRREGULAR = "#\x00\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-#: A blank or whitespace-only line, which also sends a text to the line loop.
-_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
-#: The chunked reader tokenizes whole lines about this many characters at a time.
+#: ``parse_graph`` cuts a text into blocks of whole lines about this many
+#: characters long. A block over twice as long holds a line that long, as a
+#: text with no line feed does, and is read line by line: split into tokens
+#: at once, it would take several times the memory of the line loop.
 _CHUNK_CHARS = 1 << 16
-
-_Columns = tuple[int, list[int], list[int], list[float]]
 
 
 def parse_graph(text: str) -> CompleteWeightedGraph:
@@ -246,13 +239,56 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     integer vertex ids and a decimal weight (scientific notation allowed).
     All pairs must be present, in any order.
 
-    A text whose first line is the header and whose every other line holds
-    three tokens, with no comment, no blank line and no line end other than
-    a line feed, is read in chunks of whole lines. Any other text goes to the
-    line loop, which is the only reader that reports a ``GraphSyntaxError``,
-    with its line number; both give the same graph.
+    The text is read in blocks of about 64 KiB of whole lines. A block after
+    the header whose every line holds three numbers is split into tokens at
+    once; any other block, such as one with the header, a comment, a blank
+    line or a bad line, is read line by line, which is the only path that
+    reports a ``GraphSyntaxError``, with its line number.
     """
-    return build_graph(*(_read_chunks(text) or _read_lines(text)))
+    n: int | None = None
+    # three flat columns: their ints and floats are not tracked by the cyclic
+    # garbage collector, as a tuple per line would be
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    ids = _VertexIds()
+    line_no = start = 0
+    stop = len(text)
+    while start < stop:
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or stop
+        # a block ends after a line feed, so its lines are those that
+        # ``text.splitlines()`` gives for it
+        lines = text[start:end].splitlines()
+        short = end - start <= 2 * _CHUNK_CHARS
+        start = end
+        if n is not None and short and _read_block(lines, ids, us, vs, ws):
+            line_no += len(lines)
+            continue
+        for raw in lines:
+            line_no += 1
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if n is None:
+                if len(tokens) != 2 or tokens[0] != "n":
+                    raise GraphSyntaxError("expected header 'n <order>'", line_no)
+                try:
+                    n = int(tokens[1])
+                except ValueError:
+                    raise GraphSyntaxError(f"bad order {tokens[1]!r}", line_no) from None
+                continue
+            if len(tokens) != 3:
+                raise GraphSyntaxError("expected '<u> <v> <weight>'", line_no)
+            try:
+                us.append(int(tokens[0]))
+                vs.append(int(tokens[1]))
+                ws.append(float(tokens[2]))
+            except ValueError:
+                raise GraphSyntaxError(f"bad edge line {line!r}", line_no) from None
+    if n is None:
+        raise GraphSyntaxError("missing 'n <order>' header", max(line_no, 1))
+    return build_graph(n, us, vs, ws)
 
 
 class _VertexIds(dict):
@@ -263,75 +299,33 @@ class _VertexIds(dict):
         return vertex
 
 
-def _read_chunks(text: str) -> _Columns | None:
-    # Returns None, and never raises, on any text the line loop might read
-    # differently; each chunk is tokenized once and its columns converted by
-    # strided maps.
-    if any(c in text for c in _IRREGULAR) or _BLANK_LINE.search(text):
-        return None
-    stop = len(text)
-    start = text.find("\n", 0, stop) + 1 or stop
-    head = text[:start].split()
-    if len(head) != 2 or head[0] != "n":
-        return None
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    ids = _VertexIds()
+def _read_block(
+    lines: list[str], ids: _VertexIds, us: list[int], vs: list[int], ws: list[float]
+) -> bool:
+    """Append the columns of lines that each hold three numbers.
+
+    Returns False, with nothing appended, unless every line holds exactly
+    three tokens that ``int``, ``int`` and ``float`` convert. The line loop
+    reads such lines the same way, and a comment fails ``int``.
+    """
+    # with a NUL token after each line, 4 * count tokens put a NUL at every
+    # fourth place, and so three tokens on every line, once int and float
+    # convert all the others (a NUL fails both). Counting the NULs at the
+    # fourth places turns most other blocks down before any conversion.
+    tokens = (" \x00 ".join(lines) + " \x00").split()
+    count = len(lines)
+    if len(tokens) != 4 * count or tokens[3::4].count("\x00") != count:
+        return False
     try:
-        n = int(head[1])
-        while start < stop:
-            end = text.find("\n", start + _CHUNK_CHARS, stop) + 1 or stop
-            chunk = text[start:end]
-            if not chunk.endswith("\n"):
-                chunk += "\n"
-            # with each line end a NUL token, three tokens on every line put
-            # one NUL at every fourth place and nowhere else
-            lines = chunk.count("\n")
-            tokens = chunk.replace("\n", " \x00 ").split()
-            if len(tokens) != 4 * lines or tokens[3::4].count("\x00") != lines:
-                return None
-            us += map(ids.__getitem__, tokens[0::4])
-            vs += map(ids.__getitem__, tokens[1::4])
-            ws += map(float, tokens[2::4])
-            start = end
+        block_us = list(map(ids.__getitem__, tokens[0::4]))
+        block_vs = list(map(ids.__getitem__, tokens[1::4]))
+        block_ws = list(map(float, tokens[2::4]))
     except ValueError:
-        return None
-    return n, us, vs, ws
-
-
-def _read_lines(text: str) -> _Columns:
-    n: int | None = None
-    # three flat columns: their ints and floats are not tracked by the cyclic
-    # garbage collector, as a tuple per line would be
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise GraphSyntaxError("expected header 'n <order>'", line_no)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise GraphSyntaxError(f"bad order {tokens[1]!r}", line_no) from None
-            continue
-        if len(tokens) != 3:
-            raise GraphSyntaxError("expected '<u> <v> <weight>'", line_no)
-        try:
-            us.append(int(tokens[0]))
-            vs.append(int(tokens[1]))
-            ws.append(float(tokens[2]))
-        except ValueError:
-            raise GraphSyntaxError(f"bad edge line {line!r}", line_no) from None
-    if n is None:
-        raise GraphSyntaxError("missing 'n <order>' header", max(line_no, 1))
-    return n, us, vs, ws
+        return False
+    us += block_us
+    vs += block_vs
+    ws += block_ws
+    return True
 
 
 def random_graph(

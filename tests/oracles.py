@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 from extrafactorial import CompleteWeightedGraph, EdgeKey, build_graph, edge_key
 from extrafactorial.errors import (
     DuplicateEdge,
+    GraphSyntaxError,
     MissingEdge,
     NonFiniteWeight,
     OrderTooSmall,
@@ -201,3 +202,42 @@ def strengths_loop(g: CompleteWeightedGraph) -> tuple[float, ...]:
         acc[u] += w
         acc[v] += w
     return tuple(acc)
+
+
+def read_lines(text: str) -> tuple[int, list[int], list[int], list[float]]:
+    """The text format read one line at a time: the order and three columns.
+
+    The reference for ``parse_graph``, which reads blocks of lines at once
+    where it can; both must give the same columns or the same error.
+    """
+    n: int | None = None
+    # three flat columns: their ints and floats are not tracked by the cyclic
+    # garbage collector, as a tuple per line would be
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if n is None:
+            if len(tokens) != 2 or tokens[0] != "n":
+                raise GraphSyntaxError("expected header 'n <order>'", line_no)
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise GraphSyntaxError(f"bad order {tokens[1]!r}", line_no) from None
+            continue
+        if len(tokens) != 3:
+            raise GraphSyntaxError("expected '<u> <v> <weight>'", line_no)
+        try:
+            us.append(int(tokens[0]))
+            vs.append(int(tokens[1]))
+            ws.append(float(tokens[2]))
+        except ValueError:
+            raise GraphSyntaxError(f"bad edge line {line!r}", line_no) from None
+    if n is None:
+        raise GraphSyntaxError("missing 'n <order>' header", max(line_no, 1))
+    return n, us, vs, ws

@@ -183,6 +183,10 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--limit" in captured.err
+        assert run(["enumerate", g5_file, "--limit", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --limit: expected an integer, got 'x'\n" in captured.err
 
     def test_cap_refusal(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

@@ -70,10 +70,14 @@ class TestCanonicalize:
             canonicalize([0, 1, 1, 2])
         with pytest.raises(NotAPermutation):
             canonicalize([0, 2, 3])
+        with pytest.raises(NotAPermutation):
+            HamiltonianCycle((0, 1, 1))
 
     def test_too_short(self):
         with pytest.raises(TooShort):
             canonicalize([0, 1])
+        with pytest.raises(TooShort):
+            HamiltonianCycle((0, 1))
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(NotCanonical):
@@ -353,16 +357,18 @@ class TestCounts:
         with pytest.raises(OrderTooSmall):
             count_all(2)
         with pytest.raises(OrderTooSmall):
+            count_through_edge(2)
+        with pytest.raises(OrderTooSmall):
             count_through_pair(3, EdgePairKind.NON_ADJACENT)
 
 
 class TestContainsEdge:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_agrees_with_the_edge_set(self, n):
-        # u != v over range(n + 1), so one pair per vertex leaves the cycle
+        # u != v over range(n + 2), so pairs leave the cycle at one end or both
         for c in enumerate_all(n):
             edges = set(c.edges())
-            for u, v in permutations(range(n + 1), 2):
+            for u, v in permutations(range(n + 2), 2):
                 assert c.contains_edge(u, v) == (edge_key(u, v) in edges), (c, u, v)
 
     def test_errors(self):

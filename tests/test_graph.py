@@ -1,8 +1,9 @@
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extrafactorial import (
     CompleteWeightedGraph,
@@ -27,11 +28,12 @@ from extrafactorial.errors import (
     XfsError,
 )
 from extrafactorial import graph
-from extrafactorial.graph import _pair_index, _read_lines, edge_lines, pairs
+from extrafactorial.graph import _pair_index, edge_lines, pairs
 from oracles import (
     GRAPH4_WEIGHTS,
     build_graph_slots,
     make_zero_graph,
+    read_lines,
     strengths_loop,
 )
 
@@ -150,6 +152,8 @@ class TestBuildGraph:
         entries = list(GRAPH4_WEIGHTS.items())[:5]
         with pytest.raises(MissingEdge, match=r"no weight for edge \(2, 3\)"):
             build_from_entries(4, entries)
+        with pytest.raises(MissingEdge, match=r"^order 4 needs 6 weights, got 5$"):
+            CompleteWeightedGraph(4, (1.0,) * 5)
 
     def test_order_far_beyond_entries(self):
         # 5e17 pairs promised, one given: no slot per promised pair is allocated
@@ -164,6 +168,8 @@ class TestBuildGraph:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             build_graph(2, [0], [1], [1.0])
+        with pytest.raises(OrderTooSmall):
+            CompleteWeightedGraph(2, (1.0,))
 
     def test_unequal_columns(self):
         # zip would drop the tail of the longer columns; the lengths are checked
@@ -408,9 +414,11 @@ class TestTextFormat:
         assert parse_graph(serialize_graph(g)) == g
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
     @settings(max_examples=200)
     def test_format_weight_round_trips(self, x):
-        assert float(format_weight(x)) == x
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert float(format_weight(x)).hex() == x.hex()
 
     @given(
         st.lists(
@@ -507,7 +515,23 @@ def parse_outcome(parse, text):
 
 
 def line_loop(text):
-    return build_graph(*_read_lines(text))
+    return build_graph(*read_lines(text))
+
+
+@contextmanager
+def read_block_calls(chunk_chars):
+    """Set ``_CHUNK_CHARS``; the list collects each ``_read_block`` call's lines and result."""
+    read_block = graph._read_block
+    calls = []
+
+    def record(lines, *columns):
+        calls.append((lines, read_block(lines, *columns)))
+        return calls[-1][1]
+
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars), mock.patch.object(
+        graph, "_read_block", wraps=record
+    ):
+        yield calls
 
 
 class TestReader:
@@ -522,35 +546,54 @@ class TestReader:
     def test_other_line_ends_go_to_the_line_loop(self, brk):
         # split() reads each of them as a space, splitlines() as a line end
         for text in [f"n{brk}3\n0 1 1\n", f"n 3\n0 1{brk}1\n0 2 2\n1 2 3\n"]:
-            assert graph._read_chunks(text) is None
             assert parse_outcome(parse_graph, text) == parse_outcome(line_loop, text)
 
-    def test_well_formed_text_takes_the_chunked_reader(self):
-        text = serialize_graph(random_graph(40, 3))
-        columns = _read_lines(text)
+    def test_blocks_after_the_header_are_split_at_once(self):
+        g = random_graph(40, 3)
+        text = serialize_graph(g)
         # with or without the last line end
         for variant in (text, text.rstrip("\n")):
-            assert graph._read_chunks(variant) == columns
-            with mock.patch.object(graph, "_CHUNK_CHARS", 64):
-                assert graph._read_chunks(variant) == columns
+            with read_block_calls(64) as calls:
+                assert parse_graph(variant) == g
+            assert all(ok for _, ok in calls)
+            # lines of over 20 characters: the header's block of about 64
+            # holds at most three of the 780 edge lines
+            assert sum(len(lines) for lines, _ in calls) >= 780 - 3
 
-    @pytest.mark.parametrize("blank", ["", " ", "\t \x1f"])
-    def test_blank_lines_go_straight_to_the_line_loop(self, blank):
-        # found before any chunk is split into tokens, which the memo would see
-        g = random_graph(5, 3)
+    @pytest.mark.parametrize("extra", ["", " ", "\t \x1f", "# 1 2"])
+    def test_an_odd_line_sends_only_its_block_to_the_line_loop(self, extra):
+        g = random_graph(40, 3)
         lines = serialize_graph(g).splitlines(keepends=True)
-        for i in (1, 5, len(lines)):
-            text = "".join([*lines[:i], blank + "\n", *lines[i:]])
-            with mock.patch.object(graph, "_VertexIds", side_effect=AssertionError):
-                assert graph._read_chunks(text) is None
-            assert parse_graph(text) == g
+        # blocks are three or four lines long, so some of these places are
+        # inside a block, after lines that int and float convert
+        for i in range(400, 404):
+            text = "".join([*lines[:i], extra + "\n", *lines[i:]])
+            with read_block_calls(64) as calls:
+                assert parse_graph(text) == g
+            [failed] = [block for block, ok in calls if not ok]
+            assert extra in failed
 
     def test_three_tokens_on_each_line_not_only_in_total(self):
-        # six tokens on two lines stride into valid columns
-        text = "n 3\n0 1\n0.5 0 2 0.25\n1 2 1\n"
-        assert graph._read_chunks(text) is None
-        with pytest.raises(GraphSyntaxError, match=r"^line 2: expected '<u> <v> <weight>'$"):
-            parse_graph(text)
+        # six tokens on two lines, or seven on one, stride into valid columns
+        for block in (["0 1", "0.5 0 2 0.25"], ["0 1 0.5 x 0 2 0.25"]):
+            columns = [], [], []
+            assert not graph._read_block(block, graph._VertexIds(), *columns)
+            assert columns == ([], [], [])
+            text = "".join(f"{line}\n" for line in ["n 3", *block, "1 2 1"])
+            with pytest.raises(GraphSyntaxError, match=r"^line 2: expected '<u> <v> <weight>'$"):
+                parse_graph(text)
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\r"])
+    def test_a_text_without_line_feeds_is_read_line_by_line(self, brk):
+        g = random_graph(40, 3)
+        head, body = serialize_graph(g).split("\n", 1)
+        text = body.replace("\n", brk)
+        # a long header line ends the first block, so the second block is all
+        # 780 edge lines: it is never split into tokens at once
+        for variant in (f"{head}{brk}{text}", f"{head}{' ' * 64}\n{text}"):
+            with read_block_calls(64) as calls:
+                assert parse_graph(variant) == g
+            assert calls == []
 
 
 class TestRandomGraph:
