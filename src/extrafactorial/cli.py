@@ -57,7 +57,7 @@ from .profile import compare_profiles, export_profile_csv, ranked_profile
 
 VERIFY_TOLERANCE = 1e-9
 
-Output = tuple[int, Iterable[str]]  # a handler's exit code and stdout lines
+Output = tuple[int, Iterable[str]]  # a handler's exit code and its stdout as pieces of whole lines
 
 
 def _fmt(x: float) -> str:
@@ -108,9 +108,10 @@ def _cmd_stats(args: argparse.Namespace) -> Output:
 
 
 def _cmd_efs(args: argparse.Namespace) -> Output:
-    g = _load(args.file)
     if args.edge is None:
-        return 0, [export_profile_csv(ranked_profile(g))]
+        # the graph is freed once ranked; run() writes the CSV block by block
+        return 0, export_profile_csv(ranked_profile(_load(args.file)))
+    g = _load(args.file)
     stats = edge_statistics(g, args.edge)
     if g.n > 3:
         mean_length_not_through(g, args.edge)  # raises OverflowError if not finite

@@ -2,11 +2,13 @@
 
 A graph of order n stores one real weight per unordered vertex pair, kept in a
 flat tuple ordered row-major over pairs (u, v) with u < v. This module owns
-that layout: ``pairs`` yields it, ``_pair_index`` inverts it, ``edge_lines``
-writes per-edge arrays in it, and ``CompleteWeightedGraph.matrix`` unfolds it
-for cycle lengths. ``build_graph`` takes columns already in it as they are;
-``efs.efs_all`` slices rows, for speed. Instances are immutable and safe to
-share across threads; all operations are pure.
+that layout: ``pairs`` yields it, ``_row_major`` gives its two vertex columns,
+``_pair_index`` inverts it, ``edge_lines`` writes the weight lines of the text
+format in it, and ``CompleteWeightedGraph.matrix`` unfolds it for cycle
+lengths. ``build_graph`` takes columns already in it as they are; for speed,
+``efs.efs_all`` slices rows, and ``profile.export_profile_csv`` finds the
+vertices of an edge index in ``_row_major``'s columns. Instances are immutable
+and safe to share across threads; all operations are pure.
 
 ``parse_graph`` reads the text format in blocks of whole lines. A block of
 lines that each hold three numbers, as ``serialize_graph`` writes them, is
@@ -204,24 +206,24 @@ def format_weight(x: float) -> str:
     return repr(x)
 
 
-def edge_lines(n: int, values: Iterable[float], sep: str) -> list[str]:
-    """``u{sep}v{sep}value`` for each value and its pair of ``pairs(n)``.
+def edge_lines(n: int, values: Iterable[float]) -> list[str]:
+    """The line ``u v value`` for each value and its pair of ``pairs(n)``.
 
     A finite non-integral float prints as its ``repr``; any other value, ints
     included, goes through ``format_weight``, which raises on NaN and infinities.
     """
     isfinite = math.isfinite
     return [
-        f"{u}{sep}{v}{sep}{x!r}"
+        f"{u} {v} {x!r}"
         if type(x) is float and isfinite(x) and not x.is_integer()
-        else f"{u}{sep}{v}{sep}{format_weight(x)}"
+        else f"{u} {v} {format_weight(x)}"
         for (u, v), x in zip(pairs(n), values)
     ]
 
 
 def serialize_graph(g: CompleteWeightedGraph) -> str:
     """Text form of a graph; ``parse_graph`` inverts it exactly."""
-    return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights, " "), ""])
+    return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights), ""])
 
 
 #: ``parse_graph`` cuts a text into blocks of whole lines about this many

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .efs import efs_all
 from .errors import OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, edge_lines, pairs
+from .graph import CompleteWeightedGraph, EdgeKey, _row_major, format_weight, pairs
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
 
-#: Rows per block of CSV text that ``export_profile_csv`` builds at a time.
+#: Rows per block of CSV text that ``export_profile_csv`` yields.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -87,18 +89,22 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
     return ProfileComparison(same_ranking, scale, worst)
 
 
-def export_profile_csv(p: RankedProfile) -> str:
-    """CSV text "rank,u,v,efs" in rank order, full-precision values."""
-    # "u,v,efs" cells are built in edge order, which reads efs in sequence;
-    # only the rank prefix follows rank order
-    cells = edge_lines(p.n, p.efs, ",")
-    # rows are joined a block at a time, so that the row strings of only one
-    # block live beside the cells
-    order = p.order
-    blocks = ["rank,u,v,efs"]
+def export_profile_csv(p: RankedProfile) -> Iterator[str]:
+    """CSV text "rank,u,v,efs" in rank order, full-precision values, as blocks
+    of whole lines: the header, then one block per ``_CSV_BLOCK_ROWS`` ranks.
+
+    The values must be finite, as ``ranked_profile`` gives them: it raises on
+    an overflow before any block is made.
+    """
+    labels = list(map(str, range(p.n)))  # one shared string per vertex
+    us, vs = (list(map(labels.__getitem__, column)) for column in _row_major(p.n))
+    order, efs = p.order, p.efs
+    yield "rank,u,v,efs\n"
     for start in range(0, len(order), _CSV_BLOCK_ROWS):
-        ranked = enumerate(order[start : start + _CSV_BLOCK_ROWS], start=start + 1)
-        blocks.append("\n".join([f"{rank},{cells[k]}" for rank, k in ranked]))
-    del cells
-    blocks.append("")
-    return "\n".join(blocks)
+        ks = order[start : start + _CSV_BLOCK_ROWS]
+        values = list(map(efs.__getitem__, ks))
+        # format_weight drops the ".0" of an integral float and gives any
+        # other finite float its repr
+        fmt = format_weight if any(map(float.is_integer, values)) else repr
+        rows = zip(count(start + 1), ks, map(fmt, values))
+        yield "".join([f"{r},{us[k]},{vs[k]},{x}\n" for r, k, x in rows])

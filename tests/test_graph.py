@@ -435,7 +435,7 @@ class TestTextFormat:
     @settings(max_examples=200)
     def test_format_weights_matches_format_weight(self, xs):
         n = len(xs) + 2  # at least len(xs) pairs
-        assert edge_lines(n, xs, " ") == [
+        assert edge_lines(n, xs) == [
             f"{u} {v} {format_weight(x)}" for (u, v), x in zip(pairs(n), xs)
         ]
 
@@ -444,7 +444,7 @@ class TestTextFormat:
         with pytest.raises((OverflowError, ValueError)) as expected:
             format_weight(x)
         with pytest.raises(expected.type) as got:
-            edge_lines(3, [1.5, x], " ")
+            edge_lines(3, [1.5, x])
         assert str(got.value) == str(expected.value)
 
 

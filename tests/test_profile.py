@@ -6,10 +6,12 @@ from extrafactorial import (
     compare_profiles,
     efs_all,
     export_profile_csv,
+    profile,
     random_graph,
     ranked_profile,
 )
 from extrafactorial.errors import OrderMismatch
+from extrafactorial.graph import format_weight
 from oracles import make_zero_graph
 
 
@@ -131,21 +133,21 @@ class TestScalingInvariance:
 
 class TestCsv:
     def test_sample4_rows(self, graph4):
-        text = export_profile_csv(ranked_profile(graph4))
+        text = "".join(export_profile_csv(ranked_profile(graph4)))
         lines = text.splitlines()
         assert lines[0] == "rank,u,v,efs"
         assert lines[1] == "1,0,3,49"
         assert len(lines) == 7  # header + 6 data rows
 
     def test_minimum_three_rows(self):
-        lines = export_profile_csv(ranked_profile(make_zero_graph(3))).splitlines()
+        lines = "".join(export_profile_csv(ranked_profile(make_zero_graph(3)))).splitlines()
         assert len(lines) == 4
 
     @staticmethod
     def assert_round_trip(p):
         # row r carries rank r, the r-th edge of the ranking and that edge's
         # efs, which parses back to the same bits
-        header, *rows = export_profile_csv(p).splitlines()
+        header, *rows = "".join(export_profile_csv(p)).splitlines()
         assert header == "rank,u,v,efs"
         assert len(rows) == len(p.order)
         for rank, (row, e, k) in enumerate(zip(rows, p.edge_sequence(), p.order), start=1):
@@ -160,3 +162,20 @@ class TestCsv:
     @settings(max_examples=40)
     def test_round_trip_random(self, g):
         self.assert_round_trip(ranked_profile(g))
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_blocks_mixing_integral_and_other_values(self, monkeypatch, rows):
+        # ranked efs 82.5 x4, 83, 83, 83.5, 83.5, 84.5, 85: with 2 or 3 rows
+        # a block, a block holds both kinds of value, and so does a boundary
+        monkeypatch.setattr(profile, "_CSV_BLOCK_ROWS", rows)
+        weights = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.5, 10.0)
+        p = ranked_profile(CompleteWeightedGraph(5, weights))
+        header, *blocks = export_profile_csv(p)
+        assert header == "rank,u,v,efs\n"
+        assert all(block.endswith("\n") for block in blocks)
+        assert max(block.count("\n") for block in blocks) <= rows
+        expected = [
+            f"{rank},{e.u},{e.v},{format_weight(p.efs[k])}\n"
+            for rank, (e, k) in enumerate(zip(p.edge_sequence(), p.order), start=1)
+        ]
+        assert "".join(blocks) == "".join(expected)
