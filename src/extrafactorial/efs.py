@@ -88,16 +88,11 @@ def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
     s = g.strengths
     total = g.total_weight
     scale = g.n - 2
-    weights = g.weights
     out: list[float] = []
-    k = 0
-    for u, su in enumerate(s):
-        others = s[u + 1 :]
-        row = weights[k : k + len(others)]
-        k += len(others)
+    for (u, su), row in zip(enumerate(s), g.rows()):
         out += [
             scale * w + (su + sv - 2.0 * w) + 2.0 * (total - su - sv + w)
-            for w, sv in zip(row, others)
+            for w, sv in zip(row, s[u + 1 :])
         ]
     isfinite = math.isfinite
     if not all(map(isfinite, out)):

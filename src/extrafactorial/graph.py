@@ -3,12 +3,13 @@
 A graph of order n stores one real weight per unordered vertex pair, kept in a
 flat tuple ordered row-major over pairs (u, v) with u < v. This module owns
 that layout: ``pairs`` yields it, ``_row_major`` gives its two vertex columns,
-``_pair_index`` inverts it, ``edge_lines`` writes the weight lines of the text
-format in it, and ``CompleteWeightedGraph.matrix`` unfolds it for cycle
-lengths. ``build_graph`` takes columns already in it as they are; for speed,
-``efs.efs_all`` slices rows, and ``profile.export_profile_csv`` finds the
-vertices of an edge index in ``_row_major``'s columns. Instances are immutable
-and safe to share across threads; all operations are pure.
+``_pair_index`` inverts it, ``CompleteWeightedGraph.rows`` gives its rows,
+which ``strengths`` and ``efs.efs_all`` read, and
+``CompleteWeightedGraph.matrix`` unfolds it for cycle lengths. ``build_graph``
+takes columns already in it as they are, ``serialize_graph`` writes its
+weight lines with ``format_weight``, and ``profile.export_profile_csv`` finds
+the vertices of an edge index in ``_row_major``'s columns. Instances are
+immutable and safe to share across threads; all operations are pure.
 
 ``parse_graph`` reads the text format in blocks of whole lines. A block of
 lines that each hold three numbers, as ``serialize_graph`` writes them, is
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
 from operator import add, eq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRange,
@@ -111,18 +112,22 @@ class CompleteWeightedGraph:
     def items(self) -> Iterator[tuple[EdgeKey, float]]:
         return zip(self.edges(), self.weights)
 
+    def rows(self) -> Iterator[tuple[float, ...]]:
+        """The n-1 rows of ``weights``: row u holds the pairs (u, v), v > u."""
+        weights = self.weights
+        start = 0
+        for length in range(self.n - 1, 0, -1):
+            yield weights[start : start + length]
+            start += length
+
     @cached_property
     def strengths(self) -> tuple[float, ...]:
         """Per-vertex sum of the n-1 incident weights."""
         # row u adds its weights to acc[u] in order, then one each to the
         # columns acc[u+1:]: the same additions in the same order as the loop
         # ``acc[u] += w; acc[v] += w`` over the pairs
-        n, weights = self.n, self.weights
-        acc = [0.0] * n
-        start = 0
-        for u in range(n - 1):
-            row = weights[start : start + n - 1 - u]
-            start += n - 1 - u
+        acc = [0.0] * self.n
+        for u, row in enumerate(self.rows()):
             acc[u] = reduce(add, row, acc[u])
             acc[u + 1 :] = map(add, acc[u + 1 :], row)
         return tuple(acc)
@@ -206,24 +211,10 @@ def format_weight(x: float) -> str:
     return repr(x)
 
 
-def edge_lines(n: int, values: Iterable[float]) -> list[str]:
-    """The line ``u v value`` for each value and its pair of ``pairs(n)``.
-
-    A finite non-integral float prints as its ``repr``; any other value, ints
-    included, goes through ``format_weight``, which raises on NaN and infinities.
-    """
-    isfinite = math.isfinite
-    return [
-        f"{u} {v} {x!r}"
-        if type(x) is float and isfinite(x) and not x.is_integer()
-        else f"{u} {v} {format_weight(x)}"
-        for (u, v), x in zip(pairs(n), values)
-    ]
-
-
 def serialize_graph(g: CompleteWeightedGraph) -> str:
     """Text form of a graph; ``parse_graph`` inverts it exactly."""
-    return "\n".join([f"n {g.n}", *edge_lines(g.n, g.weights), ""])
+    lines = (f"{u} {v} {format_weight(w)}" for (u, v), w in zip(pairs(g.n), g.weights))
+    return "\n".join([f"n {g.n}", *lines, ""])
 
 
 #: ``parse_graph`` cuts a text into blocks of whole lines about this many

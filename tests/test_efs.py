@@ -2,7 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extrafactorial import (
     CompleteWeightedGraph,
@@ -32,6 +32,7 @@ from extrafactorial.errors import (
 )
 from oracles import (
     efs_breakdown_explicit,
+    make_graph5,
     make_uniform_graph,
     make_zero_graph,
     oracle_mean_all,
@@ -139,12 +140,15 @@ class TestEfsAll:
     def test_zero_graph(self):
         assert all(efs == 0.0 for efs in efs_all(make_zero_graph(6)))
 
-    def test_agrees_with_single_edge_path(self, graph5):
-        table = efs_all(graph5)
-        assert len(table) == graph5.edge_count
-        for k, e in enumerate(graph5.edges()):
+    @given(graphs(max_n=7))
+    @example(make_graph5())
+    @settings(max_examples=100)
+    def test_agrees_with_single_edge_path(self, g):
+        table = efs_all(g)
+        assert len(table) == g.edge_count
+        for k, e in enumerate(g.edges()):
             # bit-equal: one formula, same arithmetic order on both paths
-            assert table[k] == edge_statistics(graph5, e).efs
+            assert table[k].hex() == edge_statistics(g, e).efs.hex()
 
     def test_non_finite_efs_raises_overflow(self):
         # finite weights; only efs(0, 2) = 2w and efs(1, 3) = 2 * x3 = 2w

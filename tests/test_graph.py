@@ -1,5 +1,6 @@
 import math
 from contextlib import contextmanager
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ from extrafactorial.errors import (
     XfsError,
 )
 from extrafactorial import graph
-from extrafactorial.graph import _pair_index, edge_lines, pairs
+from extrafactorial.graph import _pair_index, pairs
 from oracles import (
     GRAPH4_WEIGHTS,
     build_graph_slots,
@@ -323,6 +324,17 @@ STRENGTH_WEIGHTS = st.one_of(
 )
 
 
+class TestRows:
+    @given(graphs(max_n=9))
+    @settings(max_examples=100)
+    def test_rows_are_the_pairs_of_each_vertex(self, g):
+        rows = list(g.rows())
+        assert len(rows) == g.n - 1
+        for u, row in enumerate(rows):
+            assert row == tuple(g.weight(u, v) for v in range(u + 1, g.n))
+        assert tuple(chain.from_iterable(rows)) == g.weights
+
+
 class TestStrengthIdentity:
     @given(graphs(max_n=9, weights=STRENGTH_WEIGHTS))
     @settings(max_examples=300)
@@ -434,18 +446,22 @@ class TestTextFormat:
     )
     @settings(max_examples=200)
     def test_format_weights_matches_format_weight(self, xs):
-        n = len(xs) + 2  # at least len(xs) pairs
-        assert edge_lines(n, xs) == [
-            f"{u} {v} {format_weight(x)}" for (u, v), x in zip(pairs(n), xs)
+        n = 3
+        while n * (n - 1) // 2 < len(xs):
+            n += 1
+        g = CompleteWeightedGraph(n, (*xs, *[0.0] * (n * (n - 1) // 2 - len(xs))))
+        assert serialize_graph(g).splitlines()[1:] == [
+            f"{u} {v} {format_weight(w)}" for (u, v), w in zip(pairs(n), g.weights)
         ]
 
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_format_weights_non_finite_raises_like_format_weight(self, x):
-        with pytest.raises((OverflowError, ValueError)) as expected:
+    @pytest.mark.parametrize(
+        "x, error",
+        [(math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_format_weight_raises_on_non_finite(self, x, error):
+        with pytest.raises(error):
             format_weight(x)
-        with pytest.raises(expected.type) as got:
-            edge_lines(3, [1.5, x])
-        assert str(got.value) == str(expected.value)
 
 
 #: Every line boundary that ``str.splitlines`` knows, "\r\n" included.
