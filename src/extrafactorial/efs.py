@@ -20,6 +20,8 @@ brute-force sum over the cycles through e.
 from __future__ import annotations
 
 import math
+from array import array
+from operator import mul
 from typing import NamedTuple
 
 from .errors import FactorialOverflow, NoComplementCycles
@@ -79,25 +81,26 @@ def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     return edge_statistics(g, e).efs
 
 
-def efs_all(g: CompleteWeightedGraph) -> tuple[float, ...]:
+def efs_all(g: CompleteWeightedGraph) -> memoryview:
     """Extra-factorial sum of every edge, aligned with ``g.weights``, in O(n^2).
 
-    Raises OverflowError, naming the first such edge, when an efs leaves the
-    double range.
+    The values are doubles in one array, filled a row at a time and returned
+    as a read-only view, like ``g.weights``. Raises OverflowError, naming the
+    first such edge, when an efs leaves the double range.
     """
     s = g.strengths
     total = g.total_weight
     scale = g.n - 2
-    out: list[float] = []
+    out = array("d")
     for (u, su), row in zip(enumerate(s), g.rows()):
-        out += [
+        out.fromlist([
             scale * w + (su + sv - 2.0 * w) + 2.0 * (total - su - sv + w)
             for w, sv in zip(row, s[u + 1 :])
-        ]
+        ])
     isfinite = math.isfinite
     if not all(map(isfinite, out)):
         raise _overflow(next(e for e, x in zip(g.edges(), out) if not isfinite(x)))
-    return tuple(out)
+    return memoryview(out).toreadonly()
 
 
 def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteWeightedGraph:
@@ -126,7 +129,7 @@ def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteW
             multiplied.append(touching * w)
         else:
             multiplied.append(apart * w)
-    return CompleteWeightedGraph(g.n, tuple(multiplied))
+    return CompleteWeightedGraph(g.n, multiplied)
 
 
 def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -159,7 +162,7 @@ def derived_graph(g: CompleteWeightedGraph) -> CompleteWeightedGraph:
     """
     scale = g.n - 2
     return CompleteWeightedGraph(
-        g.n, tuple(w * (efs / scale) for w, efs in zip(g.weights, efs_all(g)))
+        g.n, (w * (efs / scale) for w, efs in zip(g.weights, efs_all(g)))
     )
 
 
@@ -171,7 +174,19 @@ def mean_squared_length(g: CompleteWeightedGraph) -> float:
     i.e. (n-3)! * efs(e); dividing by (n-1)!/2 cancels the factorials:
 
         mean(l^2) = 2 / ((n-1)(n-2)) * sum_e w(e) * efs(e)
+
+    Raises OverflowError when a product w(e) * efs(e) or the mean leaves the
+    double range.
     """
     n = g.n
-    weighted = math.fsum(w * efs for w, efs in zip(g.weights, efs_all(g)))
-    return 2.0 * weighted / ((n - 1) * (n - 2))
+    products = map(mul, g.weights, efs_all(g))
+    try:
+        # the weights and the efs are finite, so fsum raises only when the
+        # products overflow to both inf and -inf or a partial sum overflows
+        weighted = math.fsum(products)
+    except (OverflowError, ValueError):
+        weighted = math.inf
+    mean = 2.0 * weighted / ((n - 1) * (n - 2))
+    if not math.isfinite(mean):
+        raise OverflowError("mean_squared_length overflows the double range")
+    return mean

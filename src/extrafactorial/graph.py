@@ -1,15 +1,17 @@
 """Complete weighted graphs: construction, validation, file format, random generation.
 
-A graph of order n stores one real weight per unordered vertex pair, kept in a
-flat tuple ordered row-major over pairs (u, v) with u < v. This module owns
-that layout: ``pairs`` yields it, ``_row_major`` gives its two vertex columns,
+A graph of order n stores one real weight per unordered vertex pair, kept as
+doubles in one flat array ordered row-major over pairs (u, v) with u < v and
+shown as a read-only ``memoryview``, as ``frozen_array`` makes them; the
+per-edge results are kept the same way. This module owns that layout:
+``pairs`` yields it, ``_row_major`` gives its two vertex columns,
 ``_pair_index`` inverts it, ``CompleteWeightedGraph.rows`` gives its rows,
 which ``strengths`` and ``efs.efs_all`` read, and
 ``CompleteWeightedGraph.matrix`` unfolds it for cycle lengths. ``build_graph``
-takes columns already in it as they are, ``serialize_graph`` writes its
-weight lines with ``format_weight``, and ``profile.export_profile_csv`` finds
-the vertices of an edge index in ``_row_major``'s columns. Instances are
-immutable and safe to share across threads; all operations are pure.
+takes columns already in it as they are, ``serialize_graph`` writes its weight
+lines with ``format_weight``, and ``profile.export_profile_csv`` finds the
+vertices of an edge index in ``_row_major``'s columns. Instances are immutable
+and safe to share across threads; all operations are pure.
 
 ``parse_graph`` reads the text format in blocks of whole lines. A block of
 lines that each hold three numbers, as ``serialize_graph`` writes them, is
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
 from operator import add, eq
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRange,
@@ -72,22 +75,38 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
+def frozen_array(typecode: str, values: Iterable) -> memoryview:
+    """A read-only view of a new ``array(typecode)`` holding ``values``.
+
+    Indexing the view gives Python numbers; assigning to it raises TypeError.
+    """
+    return memoryview(array(typecode, values)).toreadonly()
+
+
 @dataclass(frozen=True)
 class CompleteWeightedGraph:
-    """Order-n complete graph with a finite real weight on every pair."""
+    """Order-n complete graph with a finite real weight on every pair.
+
+    The constructor takes any iterable of reals and copies it, as doubles,
+    into a private array; ``weights`` is a read-only view of that array, so
+    the cached ``strengths``, ``matrix`` and ``total_weight`` stay valid.
+    """
 
     n: int
-    weights: tuple[float, ...]
+    weights: memoryview
 
     def __post_init__(self):
         if self.n < 3:
             raise OrderTooSmall(f"graph order must be >= 3, got {self.n}")
+        weights = frozen_array("d", self.weights)
+        object.__setattr__(self, "weights", weights)
         m = self.edge_count
-        if len(self.weights) != m:
-            raise MissingEdge(f"order {self.n} needs {m} weights, got {len(self.weights)}")
-        for w in self.weights:
-            if not math.isfinite(w):
-                raise NonFiniteWeight(f"weight {w!r} is not finite")
+        if len(weights) != m:
+            raise MissingEdge(f"order {self.n} needs {m} weights, got {len(weights)}")
+        isfinite = math.isfinite
+        if not all(map(isfinite, weights)):
+            w = next(w for w in weights if not isfinite(w))
+            raise NonFiniteWeight(f"weight {w!r} is not finite")
 
     @property
     def edge_count(self) -> int:
@@ -112,7 +131,7 @@ class CompleteWeightedGraph:
     def items(self) -> Iterator[tuple[EdgeKey, float]]:
         return zip(self.edges(), self.weights)
 
-    def rows(self) -> Iterator[tuple[float, ...]]:
+    def rows(self) -> Iterator[memoryview]:
         """The n-1 rows of ``weights``: row u holds the pairs (u, v), v > u."""
         weights = self.weights
         start = 0
@@ -148,7 +167,7 @@ class CompleteWeightedGraph:
         """New graph with every weight multiplied by the finite factor c."""
         if not math.isfinite(c):
             raise NonFiniteScale(f"scale factor {c!r} is not finite")
-        return CompleteWeightedGraph(self.n, tuple(w * c for w in self.weights))
+        return CompleteWeightedGraph(self.n, (w * c for w in self.weights))
 
 
 def _row_major(n: int) -> tuple[Iterator[int], Iterator[int]]:
@@ -181,7 +200,7 @@ def build_graph(
     isfinite = math.isfinite
     row_major = len(ws) == m and all(map(eq, us, rows)) and all(map(eq, vs, cols))
     if row_major and all(map(isfinite, ws)):
-        return CompleteWeightedGraph(n, tuple(map(float, ws)))
+        return CompleteWeightedGraph(n, ws)
     slots: dict[int, float] = {}
     for a, b, value in zip(us, vs, ws):
         a, b = edge_key(a, b)
@@ -199,7 +218,7 @@ def build_graph(
         # the first absent pair is at most len(slots) pairs in
         u, v = next(p for k, p in enumerate(zip(*_row_major(n))) if k not in slots)
         raise MissingEdge(f"no weight for edge ({u}, {v})")
-    return CompleteWeightedGraph(n, tuple(map(slots.__getitem__, range(m))))
+    return CompleteWeightedGraph(n, map(slots.__getitem__, range(m)))
 
 
 def format_weight(x: float) -> str:
@@ -236,14 +255,16 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     the header whose every line holds three numbers is split into tokens at
     once; any other block, such as one with the header, a comment, a blank
     line or a bad line, is read line by line, which is the only path that
-    reports a ``GraphSyntaxError``, with its line number.
+    reports a ``GraphSyntaxError``, with its line number. A block holding a
+    ``#`` or an empty line goes to the line loop without being split first.
     """
     n: int | None = None
-    # three flat columns: their ints and floats are not tracked by the cyclic
-    # garbage collector, as a tuple per line would be
+    # three flat columns: their ints are not tracked by the cyclic garbage
+    # collector, as a tuple per line would be, and the weights are unboxed
+    # doubles, 8 bytes each
     us: list[int] = []
     vs: list[int] = []
-    ws: list[float] = []
+    ws = array("d")
     ids = _VertexIds()
     line_no = start = 0
     stop = len(text)
@@ -251,10 +272,13 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or stop
         # a block ends after a line feed, so its lines are those that
         # ``text.splitlines()`` gives for it
-        lines = text[start:end].splitlines()
-        short = end - start <= 2 * _CHUNK_CHARS
+        block = text[start:end]
+        lines = block.splitlines()
+        # a block with a comment or an empty line would be split into tokens
+        # only to be turned down, so it goes to the line loop at once
+        regular = end - start <= 2 * _CHUNK_CHARS and "#" not in block and all(lines)
         start = end
-        if n is not None and short and _read_block(lines, ids, us, vs, ws):
+        if n is not None and regular and _read_block(lines, ids, us, vs, ws):
             line_no += len(lines)
             continue
         for raw in lines:
@@ -293,7 +317,7 @@ class _VertexIds(dict):
 
 
 def _read_block(
-    lines: list[str], ids: _VertexIds, us: list[int], vs: list[int], ws: list[float]
+    lines: list[str], ids: _VertexIds, us: list[int], vs: list[int], ws: array
 ) -> bool:
     """Append the columns of lines that each hold three numbers.
 
@@ -317,7 +341,7 @@ def _read_block(
         return False
     us += block_us
     vs += block_vs
-    ws += block_ws
+    ws.fromlist(block_ws)
     return True
 
 
@@ -338,4 +362,4 @@ def random_graph(
         raise BadRange(f"bad weight range [{lo!r}, {hi!r}]")
     rng = random.Random(seed)
     m = n * (n - 1) // 2
-    return CompleteWeightedGraph(n, tuple(rng.uniform(lo, hi) for _ in range(m)))
+    return CompleteWeightedGraph(n, (rng.uniform(lo, hi) for _ in range(m)))

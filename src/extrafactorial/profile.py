@@ -12,11 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .efs import efs_all
 from .errors import OrderMismatch
-from .graph import CompleteWeightedGraph, EdgeKey, _row_major, format_weight, pairs
+from .graph import (
+    CompleteWeightedGraph,
+    EdgeKey,
+    _row_major,
+    format_weight,
+    frozen_array,
+    pairs,
+)
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
@@ -31,12 +38,14 @@ class RankedProfile:
 
     `efs` holds every edge's value in ``g.weights`` order, row-major over the
     pairs (u, v) with u < v; `order` holds those edge indices by rank, with
-    ties ordered by (u, v) lexicographically.
+    ties ordered by (u, v) lexicographically. ``ranked_profile`` gives both
+    as read-only views of flat arrays, of doubles and of 64-bit ints, like
+    ``g.weights``.
     """
 
     n: int
-    order: tuple[int, ...]
-    efs: tuple[float, ...]
+    order: memoryview
+    efs: memoryview
 
     def edge_sequence(self) -> tuple[EdgeKey, ...]:
         edges = list(map(EdgeKey._make, pairs(self.n)))
@@ -48,9 +57,11 @@ class ProfileComparison:
     """Outcome of comparing two same-order profiles.
 
     `scale_factor` is the constant c with efs2 = c * efs1 across all edges,
-    when one exists within SCALE_TOLERANCE; `max_relative_deviation` measures
-    how far the best candidate c is from exact proportionality (0 for a
-    perfect match, inf when no candidate can be fitted).
+    when one exists within SCALE_TOLERANCE and the double range;
+    `max_relative_deviation` measures how far the best candidate c is from
+    exact proportionality (0 for a perfect match, inf when no candidate can
+    be fitted). Where c, or c times an efs, leaves the double range, the
+    deviation is computed exactly, with fractions.
     """
 
     same_ranking: bool
@@ -62,7 +73,8 @@ def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
     """Edges of `g` sorted ascending by extra-factorial sum."""
     efs = efs_all(g)
     # a stable sort of the row-major indices keeps ties in (u, v) order
-    return RankedProfile(g.n, tuple(sorted(range(len(efs)), key=efs.__getitem__)), efs)
+    order = frozen_array("q", sorted(range(len(efs)), key=efs.__getitem__))
+    return RankedProfile(g.n, order, efs)
 
 
 def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
@@ -78,15 +90,40 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
         if all(v == 0.0 for v in efs2):
             return ProfileComparison(same_ranking, 1.0, 0.0)
         return ProfileComparison(same_ranking, None, math.inf)
-    c = efs2[pivot] / efs1[pivot]
+    top, bottom = efs2[pivot], efs1[pivot]
+    c = top / bottom
+    # c is the ratio rounded to a double unless the ratio left the double
+    # range: then c is inf, or 0 although top is not
+    in_range = lambda c: math.isfinite(c) and (c != 0.0 or top == 0.0)
+    worst = _worst_deviation(c, efs1, efs2) if in_range(c) else math.nan
+    if math.isnan(worst):
+        # c, or a prediction c * v, left the double range: compare exactly.
+        # fractions loads decimal, so only this rare path imports it.
+        from fractions import Fraction
+
+        exact = Fraction(top) / Fraction(bottom)
+        worst = _worst_deviation(exact, map(Fraction, efs1), map(Fraction, efs2))
+        try:
+            c = float(exact)
+        except OverflowError:
+            c = math.inf
+    scale = c if in_range(c) and worst <= SCALE_TOLERANCE else None
+    return ProfileComparison(same_ranking, scale, float(worst))
+
+
+def _worst_deviation(c, efs1: Iterable, efs2: Iterable):
+    """Largest |v2 - c * v1| / max(|c * v1|, |v2|) over the pairs of values,
+    in the arithmetic of c and the values; NaN once one deviation is NaN."""
     worst = 0.0
     for v1, actual in zip(efs1, efs2):
         predicted = c * v1
         denom = max(abs(predicted), abs(actual))
         if denom > 0.0:
-            worst = max(worst, abs(actual - predicted) / denom)
-    scale = c if worst <= SCALE_TOLERANCE else None
-    return ProfileComparison(same_ranking, scale, worst)
+            deviation = abs(actual - predicted) / denom
+            if deviation != deviation:  # NaN
+                return math.nan
+            worst = max(worst, deviation)
+    return worst
 
 
 def export_profile_csv(p: RankedProfile) -> Iterator[str]:

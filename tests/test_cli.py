@@ -52,6 +52,30 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_utime + usage
 """
 
 
+def run_fresh(*argv: str) -> tuple[str, float | None, float]:
+    """``xfs <argv>`` in a fresh process started by SPAWN_AND_REPORT; returns
+    its stdout, its peak RSS in MB (None where ``ru_maxrss`` is not in KiB)
+    and its CPU seconds. It must exit 0 with nothing on stderr."""
+    child = subprocess.run(
+        [sys.executable, "-c", SPAWN_AND_REPORT, "-m", "extrafactorial.cli", *argv],
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    *errors, report = child.stderr.decode().splitlines()
+    code, maxrss_kb, cpu = report.split()
+    assert (child.returncode, int(code), errors) == (0, 0, [])
+    # ru_maxrss is in KiB on Linux
+    peak_mb = int(maxrss_kb) / 1024 if sys.platform.startswith("linux") else None
+    return child.stdout.decode(), peak_mb, float(cpu)
+
+
+@pytest.fixture(scope="module")
+def order_1000(tmp_path_factory):
+    g = random_graph(1000, 7)
+    path = tmp_path_factory.mktemp("order-1000") / "g1000.txt"
+    path.write_text(serialize_graph(g))
+    return g, str(path)
+
+
 @pytest.fixture
 def g4_file(tmp_path):
     path = tmp_path / "g4.txt"
@@ -145,24 +169,23 @@ class TestEfs:
         assert captured.out == ""
         assert "VertexOutOfRange" in captured.err
 
-    def test_order_1000_profile_within_budget(self, tmp_path):
+    def test_order_1000_profile_within_budget(self, order_1000):
         # the whole command in a fresh process: start-up, parse, efs, rank, CSV.
         # CPU time, not wall time, so that a busy machine does not fail it.
-        g = random_graph(1000, 7)
-        path = tmp_path / "g1000.txt"
-        path.write_text(serialize_graph(g))
-        child = subprocess.run(
-            [sys.executable, "-c", SPAWN_AND_REPORT, "-m", "extrafactorial.cli", "efs", str(path)],
-            capture_output=True, env=child_env(), timeout=60,
-        )
-        *errors, report = child.stderr.decode().splitlines()
-        code, maxrss_kb, cpu = report.split()
-        assert (child.returncode, int(code), errors) == (0, 0, [])
-        assert child.stdout.decode() == "".join(export_profile_csv(ranked_profile(g)))
-        assert float(cpu) < 5.0, f"xfs efs at order 1000 took {float(cpu):.2f} s of CPU time"
-        if sys.platform.startswith("linux"):  # ru_maxrss is in KiB there
-            peak_mb = int(maxrss_kb) / 1024
-            assert peak_mb < 110, f"xfs efs at order 1000 peaked at {peak_mb:.1f} MB"
+        g, path = order_1000
+        stdout, peak_mb, cpu = run_fresh("efs", path)
+        assert stdout == "".join(export_profile_csv(ranked_profile(g)))
+        assert cpu < 5.0, f"xfs efs at order 1000 took {cpu:.2f} s of CPU time"
+        if peak_mb is not None:
+            assert peak_mb < 80, f"xfs efs at order 1000 peaked at {peak_mb:.1f} MB"
+
+    def test_order_1000_stats_within_budget(self, order_1000):
+        # the same for the command that parses the file and takes one efs pass
+        _, path = order_1000
+        stdout, peak_mb, _ = run_fresh("stats", path)
+        assert stdout.startswith("order 1000\nedges 499500\n")
+        if peak_mb is not None:
+            assert peak_mb < 60, f"xfs stats at order 1000 peaked at {peak_mb:.1f} MB"
 
 
 class TestEnumerate:
@@ -312,6 +335,29 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "same_ranking false\n" in out
         assert "scale_factor none\n" in out
+
+    @pytest.mark.parametrize(
+        "a, b, ranking, deviation",
+        [
+            # unrelated graphs, and one graph on both ends of the double range
+            ((1, 1e-300), (2, 1e300), "false", "0.365862940902"),
+            ((1, 1e-300), (1, 1e300), "true", "3.09667177851e-16"),
+            ((1, 1e300), (1, 1e-300), "true", "3.09667177851e-16"),
+        ],
+        ids=["unrelated", "tiny-to-huge", "huge-to-tiny"],
+    )
+    def test_ratio_beyond_the_double_range(self, tmp_path, capsys, a, b, ranking, deviation):
+        # the ratio of the efs overflows to inf or underflows to 0 as a double,
+        # so no double is the scale factor, and the deviation is exact
+        files = []
+        for name, (seed, c) in zip("ab", (a, b)):
+            files.append(tmp_path / f"{name}.txt")
+            files[-1].write_text(serialize_graph(random_graph(5, seed).scale(c)))
+        assert run(["compare", *map(str, files)]) == 0
+        assert capsys.readouterr() == (
+            f"same_ranking {ranking}\nscale_factor none\nmax_relative_deviation {deviation}\n",
+            "",
+        )
 
 
 class TestGen:
@@ -515,6 +561,24 @@ class TestErrors:
         assert capsys.readouterr() == (
             "0-2-1-3-0  0\n",
             "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # products w * efs of 3e400, beyond the double range
+            "n 3\n0 1 1e200\n0 2 1e200\n1 2 1e200\n",
+            # products that overflow to inf and to -inf, which fsum cannot add
+            "n 4\n0 1 1e200\n0 2 1e200\n0 3 1e200\n1 2 1e200\n1 3 1e200\n2 3 -1e200\n",
+        ],
+        ids=["inf", "inf-and-minus-inf"],
+    )
+    def test_mean_squared_length_overflow_is_domain_error(self, tmp_path, capsys, text):
+        path = tmp_path / "overflow.txt"
+        path.write_text(text)
+        assert run(["stats", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: OverflowError: mean_squared_length overflows the double range\n"
         )
 
     # finite weights with a total of 0 whose naively summed strengths overflow

@@ -332,6 +332,23 @@ class TestMeanSquared:
         g = random_graph(n, 13 * n, -8.0, 8.0)
         assert rel_close(mean_squared_length(g), oracle_mean_squared(g))
 
+    @pytest.mark.parametrize(
+        "n, weights",
+        [
+            # every product w * efs is 3e400
+            (3, [1e200] * 3),
+            # products of both signs beyond the double range
+            (4, [1e200] * 5 + [-1e200]),
+            # finite products 7.2e307 whose sum is beyond the double range
+            (4, [3e153] * 6),
+        ],
+        ids=["inf", "inf-and-minus-inf", "sum"],
+    )
+    def test_overflow_raises_naming_the_quantity(self, n, weights):
+        g = CompleteWeightedGraph(n, weights)
+        with pytest.raises(OverflowError, match=r"^mean_squared_length overflows the double range$"):
+            mean_squared_length(g)
+
     @given(graphs(min_n=3, max_n=6))
     @settings(max_examples=40)
     def test_variance_non_negative(self, g):

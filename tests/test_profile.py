@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,30 @@ class TestCompareProfiles:
         zero = ranked_profile(make_zero_graph(4))
         outcome = compare_profiles(zero, ranked_profile(graph4))
         assert outcome.scale_factor is None
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((1, 1e-300), (2, 1e300)), ((1, 1e-300), (1, 1e300)), ((1, 1e300), (1, 1e-300))],
+        ids=["unrelated", "tiny-to-huge", "huge-to-tiny"],
+    )
+    def test_ratio_beyond_the_double_range_is_no_scale(self, a, b):
+        # the pivot ratio is inf or 0 as a double: the deviations are exact
+        p1, p2 = (ranked_profile(random_graph(5, seed).scale(c)) for seed, c in (a, b))
+        outcome = compare_profiles(p1, p2)
+        assert outcome.scale_factor is None
+        pivot = max(p1.order, key=lambda k: abs(p1.efs[k]))
+        c = Fraction(p2.efs[pivot]) / Fraction(p1.efs[pivot])
+        exact = max(
+            abs(Fraction(y) - c * Fraction(x)) / max(abs(c * Fraction(x)), abs(Fraction(y)))
+            for x, y in zip(p1.efs, p2.efs)
+        )
+        assert outcome.max_relative_deviation == float(exact)
+        assert 0.0 < outcome.max_relative_deviation < (1e-15 if a[0] == b[0] else 1.0)
+
+    def test_zero_scale_of_a_zero_profile_stays(self, graph4):
+        # an exact ratio of 0 is a double: the zero graph is 0 times any graph
+        outcome = compare_profiles(ranked_profile(graph4), ranked_profile(make_zero_graph(4)))
+        assert (outcome.scale_factor, outcome.max_relative_deviation) == (0.0, 0.0)
 
 
 class TestScalingInvariance:
