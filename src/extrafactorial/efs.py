@@ -176,17 +176,38 @@ def mean_squared_length(g: CompleteWeightedGraph) -> float:
         mean(l^2) = 2 / ((n-1)(n-2)) * sum_e w(e) * efs(e)
 
     Raises OverflowError when a product w(e) * efs(e) or the mean leaves the
-    double range.
+    double range. A partial sum of the products that leaves it is no error:
+    the products are then summed exactly.
     """
     n = g.n
-    products = map(mul, g.weights, efs_all(g))
+    efs = efs_all(g)
+    # (n-1)(n-2) is even; dividing by its half, not doubling the sum first,
+    # gives the same double without overflowing before the division
+    half = (n - 1) * (n - 2) // 2
+    overflow = "mean_squared_length overflows the double range"
     try:
-        # the weights and the efs are finite, so fsum raises only when the
-        # products overflow to both inf and -inf or a partial sum overflows
-        weighted = math.fsum(products)
-    except (OverflowError, ValueError):
-        weighted = math.inf
-    mean = 2.0 * weighted / ((n - 1) * (n - 2))
+        # the weights and the efs are finite, so fsum raises ValueError only
+        # when products overflow to both inf and -inf, and OverflowError when
+        # a partial sum of finite products overflows
+        mean = math.fsum(map(mul, g.weights, efs)) / half
+    except ValueError:
+        raise OverflowError(overflow) from None
+    except OverflowError:
+        try:
+            # an infinite product has no integer ratio, and the correctly
+            # rounded division of ints raises when the mean is too large
+            exact = sum(map(_in_least_subnormals, map(mul, g.weights, efs)))
+            mean = exact / (half << 1074)
+        except OverflowError:
+            raise OverflowError(overflow) from None
     if not math.isfinite(mean):
-        raise OverflowError("mean_squared_length overflows the double range")
+        raise OverflowError(overflow)
     return mean
+
+
+def _in_least_subnormals(x: float) -> int:
+    """The finite double x as an exact multiple of 2**-1074, the least
+    subnormal double."""
+    numerator, denominator = x.as_integer_ratio()
+    # the denominator is 2**k with k <= 1074
+    return numerator << (1075 - denominator.bit_length())

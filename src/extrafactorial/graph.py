@@ -2,16 +2,16 @@
 
 A graph of order n stores one real weight per unordered vertex pair, kept as
 doubles in one flat array ordered row-major over pairs (u, v) with u < v and
-shown as a read-only ``memoryview``, as ``frozen_array`` makes them; the
-per-edge results are kept the same way. This module owns that layout:
-``pairs`` yields it, ``_row_major`` gives its two vertex columns,
-``_pair_index`` inverts it, ``CompleteWeightedGraph.rows`` gives its rows,
-which ``strengths`` and ``efs.efs_all`` read, and
-``CompleteWeightedGraph.matrix`` unfolds it for cycle lengths. ``build_graph``
-takes columns already in it as they are, ``serialize_graph`` writes its weight
-lines with ``format_weight``, and ``profile.export_profile_csv`` finds the
-vertices of an edge index in ``_row_major``'s columns. Instances are immutable
-and safe to share across threads; all operations are pure.
+shown as a read-only ``memoryview``; the per-edge results are kept the same
+way. This module owns that layout: ``pairs`` yields it, ``_row_major`` gives
+its two vertex columns, ``_pair_index`` inverts it,
+``CompleteWeightedGraph.rows`` gives its rows, which ``strengths`` and
+``efs.efs_all`` read, and ``CompleteWeightedGraph.matrix`` unfolds it for
+cycle lengths. ``build_graph`` takes columns already in it as they are,
+``serialize_graph`` writes its weight lines with ``format_weight``, and
+``profile.export_profile_csv`` finds the vertices of an edge index in
+``_row_major``'s columns. Instances are immutable and safe to share across
+threads; all operations are pure.
 
 ``parse_graph`` reads the text format in blocks of whole lines. A block of
 lines that each hold three numbers, as ``serialize_graph`` writes them, is
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
 from operator import add, eq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRange,
@@ -75,14 +75,6 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
-def frozen_array(typecode: str, values: Iterable) -> memoryview:
-    """A read-only view of a new ``array(typecode)`` holding ``values``.
-
-    Indexing the view gives Python numbers; assigning to it raises TypeError.
-    """
-    return memoryview(array(typecode, values)).toreadonly()
-
-
 @dataclass(frozen=True)
 class CompleteWeightedGraph:
     """Order-n complete graph with a finite real weight on every pair.
@@ -98,7 +90,7 @@ class CompleteWeightedGraph:
     def __post_init__(self):
         if self.n < 3:
             raise OrderTooSmall(f"graph order must be >= 3, got {self.n}")
-        weights = frozen_array("d", self.weights)
+        weights = memoryview(array("d", self.weights)).toreadonly()
         object.__setattr__(self, "weights", weights)
         m = self.edge_count
         if len(weights) != m:
@@ -107,6 +99,15 @@ class CompleteWeightedGraph:
         if not all(map(isfinite, weights)):
             w = next(w for w in weights if not isfinite(w))
             raise NonFiniteWeight(f"weight {w!r} is not finite")
+
+    def __repr__(self) -> str:
+        # a memoryview's own repr shows only its address
+        return f"CompleteWeightedGraph(n={self.n}, weights={self.weights.tolist()})"
+
+    def _repr_pretty_(self, printer, cycle: bool) -> None:
+        # the pretty printers of IPython and Hypothesis would otherwise show
+        # each field by its own repr
+        printer.text(repr(self))
 
     @property
     def edge_count(self) -> int:
@@ -255,8 +256,7 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     the header whose every line holds three numbers is split into tokens at
     once; any other block, such as one with the header, a comment, a blank
     line or a bad line, is read line by line, which is the only path that
-    reports a ``GraphSyntaxError``, with its line number. A block holding a
-    ``#`` or an empty line goes to the line loop without being split first.
+    reports a ``GraphSyntaxError``, with its line number.
     """
     n: int | None = None
     # three flat columns: their ints are not tracked by the cyclic garbage
@@ -272,13 +272,10 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or stop
         # a block ends after a line feed, so its lines are those that
         # ``text.splitlines()`` gives for it
-        block = text[start:end]
-        lines = block.splitlines()
-        # a block with a comment or an empty line would be split into tokens
-        # only to be turned down, so it goes to the line loop at once
-        regular = end - start <= 2 * _CHUNK_CHARS and "#" not in block and all(lines)
+        lines = text[start:end].splitlines()
+        short = end - start <= 2 * _CHUNK_CHARS
         start = end
-        if n is not None and regular and _read_block(lines, ids, us, vs, ws):
+        if n is not None and short and _read_block(lines, ids, us, vs, ws):
             line_no += len(lines)
             continue
         for raw in lines:

@@ -10,6 +10,7 @@ factor produce the same edge ranking and strictly proportional values.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator
@@ -21,7 +22,6 @@ from .graph import (
     EdgeKey,
     _row_major,
     format_weight,
-    frozen_array,
     pairs,
 )
 
@@ -47,6 +47,16 @@ class RankedProfile:
     order: memoryview
     efs: memoryview
 
+    def __repr__(self) -> str:
+        # a memoryview's own repr shows only its address
+        order, efs = self.order.tolist(), self.efs.tolist()
+        return f"RankedProfile(n={self.n}, order={order}, efs={efs})"
+
+    def _repr_pretty_(self, printer, cycle: bool) -> None:
+        # the pretty printers of IPython and Hypothesis would otherwise show
+        # each field by its own repr
+        printer.text(repr(self))
+
     def edge_sequence(self) -> tuple[EdgeKey, ...]:
         edges = list(map(EdgeKey._make, pairs(self.n)))
         return tuple(edges[k] for k in self.order)
@@ -60,8 +70,8 @@ class ProfileComparison:
     when one exists within SCALE_TOLERANCE and the double range;
     `max_relative_deviation` measures how far the best candidate c is from
     exact proportionality (0 for a perfect match, inf when no candidate can
-    be fitted). Where c, or c times an efs, leaves the double range, the
-    deviation is computed exactly, with fractions.
+    be fitted). Where c, c times an efs, or an efs less that, leaves the
+    double range, the deviation is computed exactly, with fractions.
     """
 
     same_ranking: bool
@@ -73,8 +83,8 @@ def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
     """Edges of `g` sorted ascending by extra-factorial sum."""
     efs = efs_all(g)
     # a stable sort of the row-major indices keeps ties in (u, v) order
-    order = frozen_array("q", sorted(range(len(efs)), key=efs.__getitem__))
-    return RankedProfile(g.n, order, efs)
+    order = array("q", sorted(range(len(efs)), key=efs.__getitem__))
+    return RankedProfile(g.n, memoryview(order).toreadonly(), efs)
 
 
 def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
@@ -97,7 +107,8 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
     in_range = lambda c: math.isfinite(c) and (c != 0.0 or top == 0.0)
     worst = _worst_deviation(c, efs1, efs2) if in_range(c) else math.nan
     if math.isnan(worst):
-        # c, or a prediction c * v, left the double range: compare exactly.
+        # c, a prediction c * v1 or a difference v2 - c * v1 left the double
+        # range: compare exactly.
         # fractions loads decimal, so only this rare path imports it.
         from fractions import Fraction
 
@@ -113,14 +124,15 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
 
 def _worst_deviation(c, efs1: Iterable, efs2: Iterable):
     """Largest |v2 - c * v1| / max(|c * v1|, |v2|) over the pairs of values,
-    in the arithmetic of c and the values; NaN once one deviation is NaN."""
+    in the arithmetic of c and the values; NaN once one deviation is not
+    finite, as when c * v1 or v2 - c * v1 overflows."""
     worst = 0.0
     for v1, actual in zip(efs1, efs2):
         predicted = c * v1
         denom = max(abs(predicted), abs(actual))
         if denom > 0.0:
             deviation = abs(actual - predicted) / denom
-            if deviation != deviation:  # NaN
+            if not math.isfinite(deviation):
                 return math.nan
             worst = max(worst, deviation)
     return worst

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -339,15 +341,33 @@ class TestMeanSquared:
             (3, [1e200] * 3),
             # products of both signs beyond the double range
             (4, [1e200] * 5 + [-1e200]),
-            # finite products 7.2e307 whose sum is beyond the double range
-            (4, [3e153] * 6),
+            # finite products 1.28e308 whose mean 2.56e308 does not fit
+            (4, [4e153] * 6),
         ],
-        ids=["inf", "inf-and-minus-inf", "sum"],
+        ids=["inf", "inf-and-minus-inf", "mean"],
     )
     def test_overflow_raises_naming_the_quantity(self, n, weights):
         g = CompleteWeightedGraph(n, weights)
         with pytest.raises(OverflowError, match=r"^mean_squared_length overflows the double range$"):
             mean_squared_length(g)
+
+    @pytest.mark.parametrize(
+        "n, weights",
+        [
+            # products 7.2e307 whose sum 4.32e308 leaves the double range,
+            # though the mean 1.44e308 does not
+            (4, [3e153] * 6),
+            # products 5.04e307 whose sum 1.51e308 is the mean, but its
+            # double is beyond the double range
+            (3, [4.1e153] * 3),
+        ],
+        ids=["sum", "doubled-sum"],
+    )
+    def test_mean_in_range_though_a_sum_is_not(self, n, weights):
+        g = CompleteWeightedGraph(n, weights)
+        products = map(Fraction, map(mul, g.weights, efs_all(g)))
+        exact = 2 * sum(products) / ((n - 1) * (n - 2))
+        assert mean_squared_length(g) == float(exact)
 
     @given(graphs(min_n=3, max_n=6))
     @settings(max_examples=40)

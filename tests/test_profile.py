@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from extrafactorial import (
     CompleteWeightedGraph,
+    RankedProfile,
     compare_profiles,
     efs_all,
     export_profile_csv,
@@ -119,6 +121,17 @@ class TestCompareProfiles:
         )
         assert outcome.max_relative_deviation == float(exact)
         assert 0.0 < outcome.max_relative_deviation < (1e-15 if a[0] == b[0] else 1.0)
+
+    def test_difference_beyond_the_double_range(self):
+        # under c = 1, the prediction -1e308 of an actual 1e308 is 2e308 off,
+        # beyond the double range; the exact deviation is 2
+        def profile_of(efs):
+            order = sorted(range(3), key=efs.__getitem__)
+            views = (memoryview(array(t, xs)).toreadonly() for t, xs in (("q", order), ("d", efs)))
+            return RankedProfile(3, *views)
+
+        outcome = compare_profiles(profile_of([-1e308, 1e308, 1.0]), profile_of([-1e308, -1e308, 1.0]))
+        assert (outcome.scale_factor, outcome.max_relative_deviation) == (None, 2.0)
 
     def test_zero_scale_of_a_zero_profile_stays(self, graph4):
         # an exact ratio of 0 is a double: the zero graph is 0 times any graph

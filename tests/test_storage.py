@@ -74,3 +74,16 @@ def test_constructor_copies_its_input():
     ws[0] = 10.0
     assert list(g.weights) == [1.0, 2.0, 3.0]
     assert g.total_weight == 6.0
+
+
+def test_reprs_show_the_values():
+    # a memoryview's own repr shows only its address; the reprs, and the
+    # pretty printer of Hypothesis's falsifying examples, show the values
+    from hypothesis.vendor.pretty import pretty
+
+    g = CompleteWeightedGraph(3, [1, -2.5, 3])
+    assert repr(g) == "CompleteWeightedGraph(n=3, weights=[1.0, -2.5, 3.0])"
+    assert eval(repr(g)) == g
+    p = ranked_profile(g)
+    assert repr(p) == "RankedProfile(n=3, order=[0, 1, 2], efs=[1.5, 1.5, 1.5])"
+    assert (pretty(g), pretty(p)) == (repr(g), repr(p))
