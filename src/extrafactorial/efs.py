@@ -25,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import FactorialOverflow, NoComplementCycles
-from .graph import CompleteWeightedGraph, EdgeKey
+from .graph import CompleteWeightedGraph, EdgeKey, pairs
 
 #: Largest order for which the summational multipliers fit in a double: the
 #: largest of them, (n-2)!, is 170! at order 172.
@@ -117,19 +117,13 @@ def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteW
             f"summational multipliers overflow doubles beyond order "
             f"{MAX_SUMMATIONAL_ORDER}, got {g.n}"
         )
-    ends = set(key)
     through = float(math.factorial(g.n - 2))
     touching = float(math.factorial(g.n - 3))
     apart = 2.0 * touching
-    multiplied: list[float] = []
-    for other, w in g.items():
-        if other == key:
-            multiplied.append(through * w)
-        elif ends & set(other):
-            multiplied.append(touching * w)
-        else:
-            multiplied.append(apart * w)
-    return CompleteWeightedGraph(g.n, multiplied)
+    return CompleteWeightedGraph(g.n, (
+        (through if (u, v) == key else touching if u in key or v in key else apart) * w
+        for (u, v), w in zip(pairs(g.n), g.weights)
+    ))
 
 
 def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -139,7 +133,9 @@ def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
 
 def mean_length_all(g: CompleteWeightedGraph) -> float:
     """Mean length over all (n-1)!/2 cycles: 2 * W / (n-1) for total weight W."""
-    return 2.0 * g.total_weight / (g.n - 1)
+    # (n-1)/2 is exact, so this rounds 2 * W / (n-1) once; 2 * W itself
+    # would overflow for a W above half the double range
+    return g.total_weight / ((g.n - 1) / 2)
 
 
 def mean_length_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
@@ -186,16 +182,14 @@ def mean_squared_length(g: CompleteWeightedGraph) -> float:
     half = (n - 1) * (n - 2) // 2
     overflow = "mean_squared_length overflows the double range"
     try:
+        mean = math.fsum(map(mul, g.weights, efs)) / half
+    except (OverflowError, ValueError):
         # the weights and the efs are finite, so fsum raises ValueError only
         # when products overflow to both inf and -inf, and OverflowError when
-        # a partial sum of finite products overflows
-        mean = math.fsum(map(mul, g.weights, efs)) / half
-    except ValueError:
-        raise OverflowError(overflow) from None
-    except OverflowError:
+        # a partial sum of finite products overflows. Summed exactly, an
+        # infinite product has no integer ratio, and the correctly rounded
+        # division of ints raises when the mean is too large
         try:
-            # an infinite product has no integer ratio, and the correctly
-            # rounded division of ints raises when the mean is too large
             exact = sum(map(_in_least_subnormals, map(mul, g.weights, efs)))
             mean = exact / (half << 1074)
         except OverflowError:

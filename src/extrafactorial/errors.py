@@ -30,10 +30,6 @@ class NonFiniteWeight(XfsError):
     """Edge weights must be finite reals (no NaN or infinity)."""
 
 
-class NonFiniteScale(XfsError):
-    """Scale factors must be finite."""
-
-
 class SelfLoop(XfsError):
     """An edge must join two distinct vertices."""
 

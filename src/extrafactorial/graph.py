@@ -37,7 +37,6 @@ from .errors import (
     DuplicateEdge,
     GraphSyntaxError,
     MissingEdge,
-    NonFiniteScale,
     NonFiniteWeight,
     OrderTooSmall,
     SelfLoop,
@@ -82,6 +81,8 @@ class CompleteWeightedGraph:
     The constructor takes any iterable of reals and copies it, as doubles,
     into a private array; ``weights`` is a read-only view of that array, so
     the cached ``strengths``, ``matrix`` and ``total_weight`` stay valid.
+    It is the one check that every weight is finite: it raises
+    NonFiniteWeight naming the first pair, in row-major order, that is not.
     """
 
     n: int
@@ -97,8 +98,8 @@ class CompleteWeightedGraph:
             raise MissingEdge(f"order {self.n} needs {m} weights, got {len(weights)}")
         isfinite = math.isfinite
         if not all(map(isfinite, weights)):
-            w = next(w for w in weights if not isfinite(w))
-            raise NonFiniteWeight(f"weight {w!r} is not finite")
+            e, w = next(p for p in zip(pairs(self.n), weights) if not isfinite(p[1]))
+            raise NonFiniteWeight(f"weight {w!r} for edge {e} is not finite")
 
     def __repr__(self) -> str:
         # a memoryview's own repr shows only its address
@@ -128,9 +129,6 @@ class CompleteWeightedGraph:
     def edges(self) -> Iterator[EdgeKey]:
         """All edges in (u, v)-lexicographic order."""
         return map(EdgeKey._make, pairs(self.n))
-
-    def items(self) -> Iterator[tuple[EdgeKey, float]]:
-        return zip(self.edges(), self.weights)
 
     def rows(self) -> Iterator[memoryview]:
         """The n-1 rows of ``weights``: row u holds the pairs (u, v), v > u."""
@@ -165,9 +163,12 @@ class CompleteWeightedGraph:
         return math.fsum(self.weights)
 
     def scale(self, c: float) -> CompleteWeightedGraph:
-        """New graph with every weight multiplied by the finite factor c."""
-        if not math.isfinite(c):
-            raise NonFiniteScale(f"scale factor {c!r} is not finite")
+        """New graph with every weight multiplied by c.
+
+        Raises NonFiniteWeight, naming the first pair, when a product is not
+        finite: for every pair when c is infinite or NaN, and for any pair
+        whose product overflows.
+        """
         return CompleteWeightedGraph(self.n, (w * c for w in self.weights))
 
 
@@ -188,9 +189,10 @@ def build_graph(
     Every pair must be given, with its vertices in either order and the pairs
     in any order. Repeating a pair with an equal value is accepted and the
     last is kept; a conflicting repeat raises DuplicateEdge. Columns that list
-    the pairs in row-major order, as ``serialize_graph`` writes them, with
-    finite weights are taken as they are. Any other columns go through one
-    dict keyed by pair index, which reports the first error in column order.
+    the pairs in row-major order, as ``serialize_graph`` writes them, are
+    taken as they are, and the constructor names the first non-finite
+    weight. Any other columns go through one dict keyed by pair index, which
+    reports the first error in column order.
     """
     if not len(us) == len(vs) == len(ws):
         raise ValueError(f"columns of lengths {len(us)}, {len(vs)} and {len(ws)} differ")
@@ -198,10 +200,9 @@ def build_graph(
         raise OrderTooSmall(f"graph order must be >= 3, got {n}")
     m = n * (n - 1) // 2
     rows, cols = _row_major(n)
-    isfinite = math.isfinite
-    row_major = len(ws) == m and all(map(eq, us, rows)) and all(map(eq, vs, cols))
-    if row_major and all(map(isfinite, ws)):
+    if len(ws) == m and all(map(eq, us, rows)) and all(map(eq, vs, cols)):
         return CompleteWeightedGraph(n, ws)
+    isfinite = math.isfinite
     slots: dict[int, float] = {}
     for a, b, value in zip(us, vs, ws):
         a, b = edge_key(a, b)

@@ -136,7 +136,7 @@ def efs_breakdown_explicit(g: CompleteWeightedGraph, e: tuple[int, int]) -> Expl
     x1 = g.weight(*key)
     intersecting: list[float] = []
     disjoint: list[float] = []
-    for other, w in g.items():
+    for other, w in zip(g.edges(), g.weights):
         shared = len(ends & set(other))
         if shared == 1:
             intersecting.append(w)

@@ -1,11 +1,15 @@
+import io
 import os
+import re
 import resource
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import extrafactorial
 from extrafactorial import (
@@ -19,7 +23,7 @@ from extrafactorial import (
     serialize_graph,
 )
 from extrafactorial.cli import run
-from extrafactorial.graph import edge_key
+from extrafactorial.graph import edge_key, pairs
 from oracles import make_graph4, make_graph5
 
 
@@ -626,6 +630,76 @@ class TestErrors:
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0
+
+
+#: Weights at the edges of the double range, whose sums, products and
+#: differences overflow, underflow or cancel.
+EXTREME_WEIGHTS = st.sampled_from(
+    [1.7e308, -1.7e308, 1e200, -1e200, 5e-324, -5e-324, 0.0, -0.0, 1.0, 1e16, -1e16]
+)
+
+
+def extreme_graphs(n):
+    m = n * (n - 1) // 2
+    return st.lists(EXTREME_WEIGHTS, min_size=m, max_size=m).map(
+        lambda ws: CompleteWeightedGraph(n, ws))
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """``run(argv)`` with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNeverATraceback:
+    """On any graph of finite weights, every command ends in exit 0 or 1,
+    with one error line on stderr or a report on stdout, and never prints a
+    non-finite value as if it were one."""
+
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+        extreme_graphs(n), extreme_graphs(n), st.sampled_from(list(pairs(n))),
+        st.integers(0, 30),
+    )))
+    # products w * efs of 1e400 and -1e400 make fsum raise ValueError
+    @example(case=(CompleteWeightedGraph(4, (1e200,) * 5 + (-1e200,)),
+                   make_graph4(), (2, 3), 1))
+    @settings(max_examples=200, deadline=None)
+    def test_extreme_weights(self, tmp_path_factory, case):
+        g, h, (u, v), limit = case
+        work = tmp_path_factory.mktemp("extreme")
+        a, b = work / "a.txt", work / "b.txt"
+        a.write_text(serialize_graph(g))
+        b.write_text(serialize_graph(h))
+        edge = f"{u},{v}"
+        commands = [
+            ["stats", str(a)],
+            ["efs", str(a)],
+            ["efs", str(a), "--edge", edge],
+            ["efs", str(a), "--edge", edge, "--csv"],
+            ["enumerate", str(a), "--limit", str(limit)],
+            ["verify", str(a)],
+            ["compare", str(a), str(b)],
+        ]
+        for argv in commands:
+            code, out, err = run_captured(argv)
+            assert code in (0, 1), argv
+            lines = out.splitlines()
+            if code == 0:
+                assert err == "", argv
+            elif argv[0] == "verify" and err == "":
+                assert any(line.startswith("FAIL ") for line in lines), argv
+            else:
+                assert re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
+                assert out == "" or argv[0] == "enumerate", (argv, out)
+            for line in lines:
+                tokens = set(re.split(r"[\s,()]+", line.lower()))
+                assert "nan" not in tokens, (argv, line)
+                if {"inf", "-inf"} & tokens:
+                    assert argv[0] == "compare", (argv, line)
+                    assert line == "max_relative_deviation inf", (argv, line)
+                    assert "scale_factor none" in lines, (argv, out)
 
 
 class TestModuleEntryPoint:

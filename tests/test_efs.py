@@ -206,8 +206,23 @@ class TestSummationalGraph:
     def test_overflowing_product_is_non_finite_weight(self):
         # 7! * 1e305 exceeds the double range
         g = CompleteWeightedGraph(9, (1e305,) * 36)
-        with pytest.raises(NonFiniteWeight):
+        with pytest.raises(
+            NonFiniteWeight, match=r"^weight inf for edge \(0, 1\) is not finite$"
+        ):
             summational_graph(g, (0, 1))
+
+    @given(graphs(), st.data())
+    @settings(max_examples=100)
+    def test_each_weight_times_its_class_multiplier(self, g, data):
+        e = data.draw(st.sampled_from(list(g.edges())))
+        through, touching = math.factorial(g.n - 2), math.factorial(g.n - 3)
+        expected = [
+            w * (through if len(set(e) & set(other)) == 2
+                 else touching if set(e) & set(other) else 2 * touching)
+            for other, w in zip(g.edges(), g.weights)
+        ]
+        got = summational_graph(g, e).weights.tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
 
 class TestMeans:
@@ -230,6 +245,11 @@ class TestMeans:
         assert mean_length_all(graph4) == pytest.approx(76.0 / 3.0, rel=1e-12)
         assert mean_length_all(graph5) == pytest.approx(67.05, rel=1e-9)
         assert mean_length_all(make_uniform_graph(6, 2.0)) == pytest.approx(12.0)
+
+    def test_mean_all_of_a_total_above_half_the_double_range(self):
+        # W = 1e308 is finite but 2 * W is not; the mean 2 * W / 5 is 4e307
+        g = CompleteWeightedGraph(6, (1e308,) + (0.0,) * 14)
+        assert mean_length_all(g) == float(Fraction(1e308) * 2 / 5) == 4e307
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_mean_all_matches_oracle(self, n):

@@ -21,7 +21,6 @@ from extrafactorial.errors import (
     DuplicateEdge,
     GraphSyntaxError,
     MissingEdge,
-    NonFiniteScale,
     NonFiniteWeight,
     OrderTooSmall,
     SelfLoop,
@@ -228,6 +227,30 @@ class TestBuildGraph:
         with pytest.raises(NonFiniteWeight):
             build_graph(3, [0, 0, 1], [1, 2, 2], [math.inf, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_non_finite_named_alike_in_either_column_order(self, k, bad):
+        # row-major columns reach the constructor's check, reversed ones the
+        # dict loop's; both name the pair in the same words
+        n = 5
+        us, vs = map(list, zip(*pairs(n)))
+        ws = [float(i) for i in range(1, 11)]
+        ws[k] = bad
+        u, v = us[k], vs[k]
+        message = f"^weight {bad!r} for edge \\({u}, {v}\\) is not finite$"
+        with pytest.raises(NonFiniteWeight, match=message):
+            build_graph(n, us, vs, ws)
+        with pytest.raises(NonFiniteWeight, match=message):
+            build_graph(n, us[::-1], vs[::-1], ws[::-1])
+        with pytest.raises(NonFiniteWeight, match=message):
+            CompleteWeightedGraph(n, ws)
+
+    def test_constructor_names_the_first_non_finite_pair(self):
+        with pytest.raises(
+            NonFiniteWeight, match=r"^weight nan for edge \(0, 2\) is not finite$"
+        ):
+            CompleteWeightedGraph(3, (1.0, math.nan, math.inf))
+
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             build_graph(3, [0, 0, 1], [3, 2, 2], [1.0, 2.0, 3.0])
@@ -305,8 +328,23 @@ class TestScale:
         assert graph4.scale(0.0) == make_zero_graph(4)
 
     def test_non_finite_scale(self, graph4):
-        with pytest.raises(NonFiniteScale):
+        with pytest.raises(NonFiniteWeight):
             graph4.scale(math.inf)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_factor_names_the_first_pair(self, graph4, c):
+        # every product is infinite or NaN, 0 * inf included, so the
+        # constructor names pair (0, 1), whatever the weights
+        for g in (graph4, make_zero_graph(4)):
+            with pytest.raises(NonFiniteWeight, match=r" for edge \(0, 1\) is not finite$"):
+                g.scale(c)
+
+    def test_overflowing_product_names_its_pair(self):
+        g = CompleteWeightedGraph(4, (1.0, 2.0, 1e300, 3.0, -1e300, 4.0))
+        with pytest.raises(
+            NonFiniteWeight, match=r"^weight inf for edge \(0, 3\) is not finite$"
+        ):
+            g.scale(1e10)
 
     @given(graphs(), st.floats(-100, 100))
     @settings(max_examples=50)
