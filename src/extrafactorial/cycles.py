@@ -17,6 +17,12 @@ maps the cycles of the level before to their children and chains them, so the
 cycles come depth-first in parent-edge order while at most one parent's
 children per level are held. Memory stays O(n^2) regardless of the factorial
 number of cycles produced.
+
+The stream wraps its tuples in ``HamiltonianCycle`` without re-validating
+them: ``_children`` and the seeds' ``_canonical`` already make every tuple a
+canonical permutation, and re-checking its length, distinctness and rotation
+would cost each of the factorially many cycles about as much again as making
+its tuple. The public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, permutations
 from typing import Iterable, Iterator
 
@@ -87,16 +93,37 @@ class HamiltonianCycle:
             prev = x
 
     def contains_edge(self, u: int, v: int) -> bool:
-        a, b = edge_key(u, v)
+        if u == v or u < 0 or v < 0:
+            edge_key(u, v)  # raises SelfLoop or VertexOutOfRange
+        # membership is symmetric, so the endpoints need no ordering: find u,
+        # then look for v on either side of it
         verts = self.vertices
-        if a not in verts:
+        try:
+            i = verts.index(u)
+        except ValueError:
             return False
-        i = verts.index(a)
-        return b == verts[i - 1] or b == verts[(i + 1) % len(verts)]
+        return v == verts[i - 1] or v == verts[(i + 1) % len(verts)]
 
     def __str__(self) -> str:
         # closed-walk rendering, e.g. "0-2-1-3-0"
-        return "-".join(str(v) for v in self.vertices + self.vertices[:1])
+        verts = self.vertices
+        return _walk_format(len(verts)) % (verts + verts[:1])
+
+
+@lru_cache(maxsize=32)
+def _walk_format(order: int) -> str:
+    # "%s-...-%s", one field per vertex of a closed walk over `order`
+    # vertices: a single %-format per cycle, which applies str() to each
+    # vertex as a join would
+    return "-".join(["%s"] * (order + 1))
+
+
+def _trusted_cycle(verts: tuple[int, ...]) -> HamiltonianCycle:
+    # a HamiltonianCycle on a tuple known to be canonical, built without
+    # running __post_init__'s checks
+    cycle = object.__new__(HamiltonianCycle)
+    object.__setattr__(cycle, "vertices", verts)
+    return cycle
 
 
 def canonicalize(raw: Iterable[int]) -> HamiltonianCycle:
@@ -157,7 +184,7 @@ def _stream(n: int, protected: frozenset[EdgeKey]) -> Iterator[HamiltonianCycle]
     )
     for x in free[top_up:]:
         level = chain.from_iterable(map(partial(_children, x=x, protected=protected), level))
-    return map(HamiltonianCycle, level)
+    return map(_trusted_cycle, level)
 
 
 def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[HamiltonianCycle]:

@@ -98,6 +98,21 @@ class TestCanonicalize:
     def test_rendering(self):
         assert str(canonicalize([0, 2, 1, 3])) == "0-2-1-3-0"
 
+    def test_rendering_of_two_and_three_digit_vertices(self):
+        assert str(HamiltonianCycle((0, 10, 11))) == "0-10-11-0"
+        assert str(HamiltonianCycle((7, 8, 123, 100, 99))) == "7-8-123-100-99-7"
+        for c in islice(enumerate_all(12), 50):
+            verts = c.vertices
+            assert str(c) == "-".join(str(v) for v in verts + verts[:1])
+
+    def test_rendering_is_str_of_each_vertex(self):
+        # equal vertices of other types are not conflated with the ints
+        # rendered before them
+        assert str(HamiltonianCycle((0, 1, 2))) == "0-1-2-0"
+        assert str(canonicalize([0, True, 2])) == "0-True-2-0"
+        assert str(HamiltonianCycle((0, 1, 2))) == "0-1-2-0"
+        assert str(canonicalize(range(40))) == "-".join(map(str, [*range(40), 0]))
+
 
 def insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
     # every child of `cycle` made by inserting vertex x, none protected
@@ -213,6 +228,38 @@ class TestLaziness:
             tracemalloc.stop()
         assert [c.order for c in first] == [12, 12, 12]
         assert peak < 1 << 20
+
+
+class TestStreamedCyclesAreCanonical:
+    # the streams build their cycles without the constructor's checks: each
+    # must still be what the checked constructor makes of its vertices
+    @staticmethod
+    def _assert_checked(cycles):
+        count = 0
+        for c in cycles:
+            assert type(c.vertices) is tuple
+            assert HamiltonianCycle(c.vertices) == c
+            count += 1
+        assert count > 0
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_all(self, n):
+        self._assert_checked(enumerate_all(n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_through_every_edge(self, n):
+        for e in combinations(range(n), 2):
+            self._assert_checked(enumerate_through_edge(n, e))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_through_an_adjacent_and_a_non_adjacent_pair(self, n):
+        kind, stream = enumerate_through_pair(n, (0, n - 1), (n - 1, 1))
+        assert kind is EdgePairKind.ADJACENT
+        self._assert_checked(stream)
+        if n >= 4:
+            kind, stream = enumerate_through_pair(n, (1, n - 1), (0, 2))
+            assert kind is EdgePairKind.NON_ADJACENT
+            self._assert_checked(stream)
 
 
 class TestEnumerateThroughEdge:
@@ -375,8 +422,14 @@ class TestContainsEdge:
         c = canonicalize(range(5))
         with pytest.raises(SelfLoop):
             c.contains_edge(2, 2)
+        with pytest.raises(SelfLoop):
+            c.contains_edge(7, 7)  # a vertex off the cycle
+        with pytest.raises(SelfLoop):
+            c.contains_edge(-1, -1)  # the self-loop is named first
         with pytest.raises(VertexOutOfRange):
             c.contains_edge(-1, 0)
+        with pytest.raises(VertexOutOfRange):
+            c.contains_edge(0, -1)
 
 
 class TestEdgeIncidence:
