@@ -28,7 +28,6 @@ its tuple. The public constructor keeps every check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, permutations
@@ -44,7 +43,7 @@ from .errors import (
     TooShort,
     VertexOutOfRange,
 )
-from .graph import CompleteWeightedGraph, EdgeKey, edge_key
+from .graph import CompleteWeightedGraph, EdgeKey, _Frozen, edge_key
 
 #: Orders above this raise EnumerationCapExceeded unless overridden
 #: (11!/2 is about 2.0e7 cycles; counting functions are never capped).
@@ -61,25 +60,43 @@ def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
     return rot
 
 
-@dataclass(frozen=True)
-class HamiltonianCycle:
+class HamiltonianCycle(_Frozen):
     """One closed walk over distinct vertices, held in canonical form.
 
     Canonical form: the smallest vertex first and the second vertex smaller
     than the last, which fixes rotation and reflection so each of the
     (n-1)!/2 cycles of a complete graph has exactly one representation.
+    The constructor takes any iterable of vertices and keeps them as a tuple.
     """
 
+    __slots__ = ("vertices",)
     vertices: tuple[int, ...]
 
-    def __post_init__(self):
-        v = self.vertices
+    def __init__(self, vertices: Iterable[int]):
+        v = tuple(vertices)
         if len(v) < 3:
             raise TooShort(f"cycles need at least 3 vertices, got {len(v)}")
         if len(set(v)) != len(v):
             raise NotAPermutation(f"repeated vertex in {v}")
         if v[0] != min(v) or v[1] > v[-1]:
             raise NotCanonical(f"{v} is not in canonical rotation/reflection")
+        object.__setattr__(self, "vertices", v)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        return f"HamiltonianCycle(vertices={self.vertices!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild a slotted instance by setting its slots,
+        # which __setattr__ refuses: rebuild it through the constructor
+        return HamiltonianCycle, (self.vertices,)
 
     @property
     def order(self) -> int:
@@ -120,7 +137,7 @@ def _walk_format(order: int) -> str:
 
 def _trusted_cycle(verts: tuple[int, ...]) -> HamiltonianCycle:
     # a HamiltonianCycle on a tuple known to be canonical, built without
-    # running __post_init__'s checks
+    # running the constructor's checks
     cycle = object.__new__(HamiltonianCycle)
     object.__setattr__(cycle, "vertices", verts)
     return cycle

@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
 from operator import add, eq
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadRange,
@@ -74,8 +73,23 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
-@dataclass(frozen=True)
-class CompleteWeightedGraph:
+class _Frozen:
+    """Refuses to set or delete any attribute, as a frozen dataclass does.
+
+    Subclasses set their fields once, in ``__init__``, through
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CompleteWeightedGraph(_Frozen):
     """Order-n complete graph with a finite real weight on every pair.
 
     The constructor takes any iterable of reals and copies it, as doubles,
@@ -83,23 +97,35 @@ class CompleteWeightedGraph:
     the cached ``strengths``, ``matrix`` and ``total_weight`` stay valid.
     It is the one check that every weight is finite: it raises
     NonFiniteWeight naming the first pair, in row-major order, that is not.
+    Graphs compare equal by order and weights. The view cannot be hashed
+    or pickled, and so neither can a graph.
     """
 
     n: int
     weights: memoryview
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise OrderTooSmall(f"graph order must be >= 3, got {self.n}")
-        weights = memoryview(array("d", self.weights)).toreadonly()
-        object.__setattr__(self, "weights", weights)
-        m = self.edge_count
+    def __init__(self, n: int, weights: Iterable[float]):
+        if n < 3:
+            raise OrderTooSmall(f"graph order must be >= 3, got {n}")
+        weights = memoryview(array("d", weights)).toreadonly()
+        m = n * (n - 1) // 2
         if len(weights) != m:
-            raise MissingEdge(f"order {self.n} needs {m} weights, got {len(weights)}")
+            raise MissingEdge(f"order {n} needs {m} weights, got {len(weights)}")
         isfinite = math.isfinite
         if not all(map(isfinite, weights)):
-            e, w = next(p for p in zip(pairs(self.n), weights) if not isfinite(p[1]))
+            e, w = next(p for p in zip(pairs(n), weights) if not isfinite(p[1]))
             raise NonFiniteWeight(f"weight {w!r} for edge {e} is not finite")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.weights) == (other.n, other.weights)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # raises ValueError: a view of doubles cannot be hashed
+        return hash((self.n, self.weights))
 
     def __repr__(self) -> str:
         # a memoryview's own repr shows only its address

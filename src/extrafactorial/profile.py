@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .efs import efs_all
 from .errors import OrderMismatch
@@ -32,8 +31,7 @@ SCALE_TOLERANCE = 1e-9
 _CSV_BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class RankedProfile:
+class RankedProfile(NamedTuple):
     """All edges of one graph ranked by ascending extra-factorial sum.
 
     `efs` holds every edge's value in ``g.weights`` order, row-major over the
@@ -62,8 +60,7 @@ class RankedProfile:
         return tuple(edges[k] for k in self.order)
 
 
-@dataclass(frozen=True)
-class ProfileComparison:
+class ProfileComparison(NamedTuple):
     """Outcome of comparing two same-order profiles.
 
     `scale_factor` is the constant c with efs2 = c * efs1 across all edges,

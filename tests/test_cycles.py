@@ -113,6 +113,16 @@ class TestCanonicalize:
         assert str(HamiltonianCycle((0, 1, 2))) == "0-1-2-0"
         assert str(canonicalize(range(40))) == "-".join(map(str, [*range(40), 0]))
 
+    def test_list_input_is_kept_as_a_tuple(self):
+        # a cycle built from a list renders, compares and hashes as one
+        # built from the equal tuple
+        from_list, from_tuple = HamiltonianCycle([0, 2, 1, 3]), HamiltonianCycle((0, 2, 1, 3))
+        assert from_list.vertices == (0, 2, 1, 3)
+        assert type(from_list.vertices) is tuple
+        assert str(from_list) == "0-2-1-3-0"
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
 
 def insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
     # every child of `cycle` made by inserting vertex x, none protected

@@ -37,3 +37,6 @@ def test_runtime_imports_only_the_standard_library():
     # __main__ is the -c program itself
     outside = top_level - sys.stdlib_module_names - {"__main__", "extrafactorial"}
     assert not outside, f"extrafactorial.cli imports non-stdlib modules {sorted(outside)}"
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every
+    # command would then load at start-up
+    assert "dataclasses" not in top_level
