@@ -10,7 +10,6 @@ from .cycles import (
     EdgePairKind,
     HamiltonianCycle,
     brute_force_sum_through,
-    canonicalize,
     count_all,
     count_through_edge,
     count_through_pair,
@@ -63,7 +62,6 @@ __all__ = [
     "RankedProfile",
     "brute_force_sum_through",
     "build_graph",
-    "canonicalize",
     "compare_profiles",
     "count_all",
     "count_through_edge",

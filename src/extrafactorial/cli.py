@@ -41,7 +41,6 @@ from .efs import (
     edge_statistics,
     efs_all,
     mean_length_all,
-    mean_length_not_through,
     mean_squared_length,
     summational_graph,
 )
@@ -113,8 +112,6 @@ def _cmd_efs(args: argparse.Namespace) -> Output:
         return 0, export_profile_csv(ranked_profile(_load(args.file)))
     g = _load(args.file)
     stats = edge_statistics(g, args.edge)
-    if g.n > 3:
-        mean_length_not_through(g, args.edge)  # raises OverflowError if not finite
     edge, *values = stats
     names = stats._fields[1:]
     if args.csv:

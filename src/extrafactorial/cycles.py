@@ -18,11 +18,13 @@ cycles come depth-first in parent-edge order while at most one parent's
 children per level are held. Memory stays O(n^2) regardless of the factorial
 number of cycles produced.
 
-The stream wraps its tuples in ``HamiltonianCycle`` without re-validating
-them: ``_children`` and the seeds' ``_canonical`` already make every tuple a
-canonical permutation, and re-checking its length, distinctness and rotation
-would cost each of the factorially many cycles about as much again as making
-its tuple. The public constructor keeps every check.
+A ``HamiltonianCycle`` is a tuple of its canonical vertices, so it compares,
+hashes, orders and pickles as that tuple does, and equals the plain tuple.
+The stream wraps its tuples with ``tuple.__new__``, which skips the
+constructor's checks: ``_children`` and the seeds' ``_canonical`` already make
+every tuple a canonical permutation, and re-checking its length, distinctness
+and rotation would cost each of the factorially many cycles about as much
+again as making its tuple. The public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     TooShort,
     VertexOutOfRange,
 )
-from .graph import CompleteWeightedGraph, EdgeKey, _Frozen, edge_key
+from .graph import CompleteWeightedGraph, EdgeKey, edge_key
 
 #: Orders above this raise EnumerationCapExceeded unless overridden
 #: (11!/2 is about 2.0e7 cycles; counting functions are never capped).
@@ -60,19 +62,19 @@ def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
     return rot
 
 
-class HamiltonianCycle(_Frozen):
-    """One closed walk over distinct vertices, held in canonical form.
+class HamiltonianCycle(tuple):
+    """One closed walk over distinct vertices: the tuple of them in canonical form.
 
     Canonical form: the smallest vertex first and the second vertex smaller
     than the last, which fixes rotation and reflection so each of the
     (n-1)!/2 cycles of a complete graph has exactly one representation.
-    The constructor takes any iterable of vertices and keeps them as a tuple.
+    The constructor takes any iterable of vertices. A cycle equals, hashes
+    and orders as the tuple of its vertices; its ``str`` is the closed walk.
     """
 
-    __slots__ = ("vertices",)
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[int]):
+    def __new__(cls, vertices: Iterable[int]):
         v = tuple(vertices)
         if len(v) < 3:
             raise TooShort(f"cycles need at least 3 vertices, got {len(v)}")
@@ -80,32 +82,18 @@ class HamiltonianCycle(_Frozen):
             raise NotAPermutation(f"repeated vertex in {v}")
         if v[0] != min(v) or v[1] > v[-1]:
             raise NotCanonical(f"{v} is not in canonical rotation/reflection")
-        object.__setattr__(self, "vertices", v)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"HamiltonianCycle(vertices={self.vertices!r})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild a slotted instance by setting its slots,
-        # which __setattr__ refuses: rebuild it through the constructor
-        return HamiltonianCycle, (self.vertices,)
+        return tuple.__new__(cls, v)
 
     @property
-    def order(self) -> int:
-        return len(self.vertices)
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"HamiltonianCycle(vertices={tuple(self)!r})"
 
     def edges(self) -> Iterator[EdgeKey]:
-        v = self.vertices
-        prev = v[-1]
-        for x in v:
+        prev = self[-1]
+        for x in self:
             yield EdgeKey(prev, x) if prev < x else EdgeKey(x, prev)
             prev = x
 
@@ -114,17 +102,15 @@ class HamiltonianCycle(_Frozen):
             edge_key(u, v)  # raises SelfLoop or VertexOutOfRange
         # membership is symmetric, so the endpoints need no ordering: find u,
         # then look for v on either side of it
-        verts = self.vertices
         try:
-            i = verts.index(u)
+            i = self.index(u)
         except ValueError:
             return False
-        return v == verts[i - 1] or v == verts[(i + 1) % len(verts)]
+        return v == self[i - 1] or v == self[(i + 1) % len(self)]
 
     def __str__(self) -> str:
         # closed-walk rendering, e.g. "0-2-1-3-0"
-        verts = self.vertices
-        return _walk_format(len(verts)) % (verts + verts[:1])
+        return _walk_format(len(self)) % (self + self[:1])
 
 
 @lru_cache(maxsize=32)
@@ -133,28 +119,6 @@ def _walk_format(order: int) -> str:
     # vertices: a single %-format per cycle, which applies str() to each
     # vertex as a join would
     return "-".join(["%s"] * (order + 1))
-
-
-def _trusted_cycle(verts: tuple[int, ...]) -> HamiltonianCycle:
-    # a HamiltonianCycle on a tuple known to be canonical, built without
-    # running the constructor's checks
-    cycle = object.__new__(HamiltonianCycle)
-    object.__setattr__(cycle, "vertices", verts)
-    return cycle
-
-
-def canonicalize(raw: Iterable[int]) -> HamiltonianCycle:
-    """Canonical representative of the cycle visiting `raw` in order.
-
-    `raw` must be a permutation of 0..len-1 with at least three entries.
-    Idempotent: canonicalizing a canonical sequence returns an equal cycle.
-    """
-    seq = tuple(raw)
-    if len(seq) < 3:
-        raise TooShort(f"cycles need at least 3 vertices, got {len(seq)}")
-    if sorted(seq) != list(range(len(seq))):
-        raise NotAPermutation(f"{seq} is not a permutation of 0..{len(seq) - 1}")
-    return HamiltonianCycle(_canonical(seq))
 
 
 def _children(
@@ -201,7 +165,8 @@ def _stream(n: int, protected: frozenset[EdgeKey]) -> Iterator[HamiltonianCycle]
     )
     for x in free[top_up:]:
         level = chain.from_iterable(map(partial(_children, x=x, protected=protected), level))
-    return map(_trusted_cycle, level)
+    # a C-level wrap of each canonical tuple, without the constructor's checks
+    return map(partial(tuple.__new__, HamiltonianCycle), level)
 
 
 def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[HamiltonianCycle]:
@@ -295,13 +260,12 @@ def cycle_length(g: CompleteWeightedGraph, cycle: HamiltonianCycle) -> float:
     Raises OverflowError when the sum leaves the double range: the weights
     are finite, so a non-finite length is an overflow, not a value.
     """
-    verts = cycle.vertices
-    if len(verts) != g.n:
-        raise OrderMismatch(f"cycle order {len(verts)} != graph order {g.n}")
+    if len(cycle) != g.n:
+        raise OrderMismatch(f"cycle order {len(cycle)} != graph order {g.n}")
     rows = g.matrix
     total = 0.0
-    prev = verts[-1]
-    for v in verts:
+    prev = cycle[-1]
+    for v in cycle:
         total += rows[prev][v]
         prev = v
     if not math.isfinite(total):

@@ -49,26 +49,37 @@ def _overflow(e: EdgeKey, name: str = "efs") -> OverflowError:
     return OverflowError(f"{name} of edge ({e.u}, {e.v}) overflows the double range")
 
 
+def _efs(
+    g: CompleteWeightedGraph, e: tuple[int, int]
+) -> tuple[EdgeKey, float, float, float, float]:
+    # edge e's key, x1, x2, x3 and efs; raises OverflowError when the efs
+    # leaves the double range
+    key = g.edge(*e)
+    w = g.weight(*key)
+    s = g.strengths
+    x2 = s[key.u] + s[key.v] - 2.0 * w
+    x3 = g.total_weight - s[key.u] - s[key.v] + w
+    efs = (g.n - 2) * w + x2 + 2.0 * x3
+    if not math.isfinite(efs):
+        raise _overflow(key)
+    return key, w, x2, x3, efs
+
+
 def edge_statistics(g: CompleteWeightedGraph, e: tuple[int, int]) -> EdgeStatistics:
     """x1/x2/x3 decomposition, efs and both conditional means for one edge.
 
     The mean length of the cycles avoiding e is factorial-free as
     ((n-2) * W - efs(e)) / ((n-2) * (n-3) / 2); it is None at order 3, where
-    no cycle avoids e, and inf when (n-2) * W leaves the double range.
-    Raises OverflowError when the efs leaves the double range.
+    no cycle avoids e. Raises OverflowError when the efs or that mean leaves
+    the double range.
     """
-    key = g.edge(*e)
+    key, w, x2, x3, efs = _efs(g, e)
     n = g.n
-    w = g.weight(*key)
-    s = g.strengths
-    x2 = s[key.u] + s[key.v] - 2.0 * w
-    x3 = g.total_weight - s[key.u] - s[key.v] + w
-    efs = (n - 2) * w + x2 + 2.0 * x3
-    if not math.isfinite(efs):
-        raise _overflow(key)
-    mean_not = (
-        None if n == 3 else ((n - 2) * g.total_weight - efs) / ((n - 2) * (n - 3) / 2.0)
-    )
+    mean_not = None
+    if n > 3:
+        mean_not = ((n - 2) * g.total_weight - efs) / ((n - 2) * (n - 3) / 2.0)
+        if not math.isfinite(mean_not):
+            raise _overflow(key, "mean_not_through")
     return EdgeStatistics(key, w, x2, x3, efs, efs / (n - 2), mean_not)
 
 
@@ -78,7 +89,7 @@ def extra_factorial_sum(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     Multiplied by (n-3)! it equals the summed lengths of the (n-2)! cycles
     through e; divided by (n-2) it gives their mean length.
     """
-    return edge_statistics(g, e).efs
+    return _efs(g, e)[4]
 
 
 def efs_all(g: CompleteWeightedGraph) -> memoryview:
@@ -128,7 +139,7 @@ def summational_graph(g: CompleteWeightedGraph, e: tuple[int, int]) -> CompleteW
 
 def mean_length_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> float:
     """Mean length of the (n-2)! cycles traversing `e`: efs(e) / (n-2)."""
-    return edge_statistics(g, e).mean_through
+    return _efs(g, e)[4] / (g.n - 2)
 
 
 def mean_length_all(g: CompleteWeightedGraph) -> float:
@@ -145,10 +156,7 @@ def mean_length_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> flo
     """
     if g.n == 3:
         raise NoComplementCycles("every order-3 cycle traverses every edge")
-    stats = edge_statistics(g, e)
-    if not math.isfinite(stats.mean_not_through):
-        raise _overflow(stats.edge, "mean_not_through")
-    return stats.mean_not_through
+    return edge_statistics(g, e).mean_not_through
 
 
 def derived_graph(g: CompleteWeightedGraph) -> CompleteWeightedGraph:

@@ -73,23 +73,7 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
-class _Frozen:
-    """Refuses to set or delete any attribute, as a frozen dataclass does.
-
-    Subclasses set their fields once, in ``__init__``, through
-    ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CompleteWeightedGraph(_Frozen):
+class CompleteWeightedGraph:
     """Order-n complete graph with a finite real weight on every pair.
 
     The constructor takes any iterable of reals and copies it, as doubles,
@@ -117,6 +101,12 @@ class CompleteWeightedGraph(_Frozen):
             raise NonFiniteWeight(f"weight {w!r} for edge {e} is not finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -187,15 +177,6 @@ class CompleteWeightedGraph(_Frozen):
     @cached_property
     def total_weight(self) -> float:
         return math.fsum(self.weights)
-
-    def scale(self, c: float) -> CompleteWeightedGraph:
-        """New graph with every weight multiplied by c.
-
-        Raises NonFiniteWeight, naming the first pair, when a product is not
-        finite: for every pair when c is infinite or NaN, and for any pair
-        whose product overflows.
-        """
-        return CompleteWeightedGraph(self.n, (w * c for w in self.weights))
 
 
 def _row_major(n: int) -> tuple[Iterator[int], Iterator[int]]:

@@ -13,13 +13,21 @@ import math
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple
 
-from extrafactorial import CompleteWeightedGraph, EdgeKey, build_graph, edge_key
+from extrafactorial import (
+    CompleteWeightedGraph,
+    EdgeKey,
+    HamiltonianCycle,
+    build_graph,
+    edge_key,
+)
 from extrafactorial.errors import (
     DuplicateEdge,
     GraphSyntaxError,
     MissingEdge,
     NonFiniteWeight,
+    NotAPermutation,
     OrderTooSmall,
+    TooShort,
     VertexOutOfRange,
 )
 from extrafactorial.graph import _pair_index, pairs
@@ -65,6 +73,33 @@ def make_zero_graph(n: int) -> CompleteWeightedGraph:
 
 def make_uniform_graph(n: int, w: float) -> CompleteWeightedGraph:
     return CompleteWeightedGraph(n, (w,) * (n * (n - 1) // 2))
+
+
+def scale_graph(g: CompleteWeightedGraph, c: float) -> CompleteWeightedGraph:
+    """New graph with every weight multiplied by c.
+
+    The constructor raises NonFiniteWeight, naming the first pair, when a
+    product is not finite: for every pair when c is infinite or NaN, and for
+    any pair whose product overflows.
+    """
+    return CompleteWeightedGraph(g.n, (w * c for w in g.weights))
+
+
+def canonicalize(raw: Iterable[int]) -> HamiltonianCycle:
+    """The package's cycle for the closed walk visiting `raw` in order.
+
+    `raw` must be a permutation of 0..len-1 with at least three entries. The
+    walk is rotated to start at 0 and then read in whichever direction puts
+    the smaller neighbour of 0 second.
+    """
+    seq = tuple(raw)
+    if len(seq) < 3:
+        raise TooShort(f"cycles need at least 3 vertices, got {len(seq)}")
+    if sorted(seq) != list(range(len(seq))):
+        raise NotAPermutation(f"{seq} is not a permutation of 0..{len(seq) - 1}")
+    i = seq.index(0)
+    rot = seq[i:] + seq[:i]
+    return HamiltonianCycle(min(rot, rot[:1] + rot[:0:-1]))
 
 
 def oracle_cycles(n: int) -> Iterator[tuple[int, ...]]:
@@ -114,6 +149,65 @@ def oracle_mean_not_through(g: CompleteWeightedGraph, e: tuple[int, int]) -> flo
         if key not in cycle_edge_set(c)
     ]
     return math.fsum(lengths) / len(lengths)
+
+
+class LengthSums(NamedTuple):
+    """Exact sums over a set of cycles: their count, Σ L and Σ L²."""
+
+    count: int
+    total: int
+    squares: int
+
+
+def _extend(t: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    # the (count, Σ L, Σ L²) of walks `t` made one edge of weight w longer
+    c, s, q = t
+    return c, s + w * c, q + 2 * w * s + w * w * c
+
+
+def subset_sums(g: CompleteWeightedGraph) -> dict[tuple[int, int], LengthSums]:
+    """Exact (count, Σ L, Σ L²) over the Hamiltonian cycles through each edge.
+
+    The recurrence of Bellman (1962) and Held and Karp (1962), with sums in
+    place of minima, in O(2^n n^2) and without listing a cycle. The weights
+    must be integers. Rooted at r = n-1: ``paths[S][v]`` sums the paths that
+    leave r, visit exactly the vertices of the bit set S and end at v. A cycle
+    through (b, r) is a path through every other vertex that ends at b and
+    closes on r. A cycle through (a, b), both not r, reads r -> S -> a - b ->
+    T -> r, with S ending at a and T, the rest, read back from r ending at b;
+    the split with a on the S side counts each cycle once.
+    """
+    if not all(x.is_integer() for x in g.weights):
+        raise ValueError("subset_sums needs integer weights")
+    w = [list(map(int, row)) for row in g.matrix]
+    k = root = g.n - 1
+    full = (1 << k) - 1
+    paths: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(1 << k)]
+    for v in range(k):
+        paths[1 << v][v] = _extend((1, 0, 0), w[root][v])
+    # a set's index exceeds each of its subsets', so each is complete when read
+    for S in range(1, full):
+        for v, t in paths[S].items():
+            for x in range(k):
+                if not S >> x & 1:
+                    c, s, q = _extend(t, w[v][x])
+                    old = paths[S | 1 << x].get(x, (0, 0, 0))
+                    paths[S | 1 << x][x] = (old[0] + c, old[1] + s, old[2] + q)
+    sums = {(b, root): LengthSums(*_extend(paths[full][b], w[b][root])) for b in range(k)}
+    for a, b in itertools.combinations(range(k), 2):
+        wab = w[a][b]
+        c = s = q = 0
+        for S in range(1, full):
+            if S >> a & 1 and not S >> b & 1:
+                c1, s1, q1 = paths[S][a]
+                c2, s2, q2 = paths[full ^ S][b]
+                # each cycle's length is L1 + wab + L2
+                c += c1 * c2
+                s += s1 * c2 + c1 * s2 + wab * c1 * c2
+                q += (q1 * c2 + c1 * q2 + 2 * s1 * s2 + wab * wab * c1 * c2
+                      + 2 * wab * (s1 * c2 + c1 * s2))
+        sums[(a, b)] = LengthSums(c, s, q)
+    return sums
 
 
 class ExplicitBreakdown(NamedTuple):

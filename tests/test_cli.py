@@ -24,7 +24,7 @@ from extrafactorial import (
 )
 from extrafactorial.cli import run
 from extrafactorial.graph import edge_key, pairs
-from oracles import make_graph4, make_graph5
+from oracles import make_graph4, make_graph5, scale_graph
 
 
 def child_env() -> dict[str, str]:
@@ -317,7 +317,7 @@ class TestCompare:
     def test_scaled_copy(self, tmp_path, capsys):
         assert run(["gen", "--n", "8", "--seed", "5", "-o", str(tmp_path / "a.txt")]) == 0
         g = parse_graph((tmp_path / "a.txt").read_text())
-        (tmp_path / "b.txt").write_text(serialize_graph(g.scale(0.5)))
+        (tmp_path / "b.txt").write_text(serialize_graph(scale_graph(g, 0.5)))
         capsys.readouterr()
         assert run(["compare", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 0
         out = capsys.readouterr().out
@@ -356,7 +356,7 @@ class TestCompare:
         files = []
         for name, (seed, c) in zip("ab", (a, b)):
             files.append(tmp_path / f"{name}.txt")
-            files[-1].write_text(serialize_graph(random_graph(5, seed).scale(c)))
+            files[-1].write_text(serialize_graph(scale_graph(random_graph(5, seed), c)))
         assert run(["compare", *map(str, files)]) == 0
         assert capsys.readouterr() == (
             f"same_ranking {ranking}\nscale_factor none\nmax_relative_deviation {deviation}\n",
@@ -533,7 +533,7 @@ class TestErrors:
             # finite weights whose total exceeds the double range
             ("stats", "n 3\n0 1 1e308\n0 2 1e308\n1 2 1e308\n"),
             # finite cycle lengths whose oracle sum exceeds it
-            ("verify", serialize_graph(random_graph(5, 1).scale(1e307))),
+            ("verify", serialize_graph(scale_graph(random_graph(5, 1), 1e307))),
         ],
     )
     def test_arithmetic_overflow_is_domain_error(self, tmp_path, capsys, command, text):

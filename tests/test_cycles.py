@@ -11,7 +11,6 @@ from extrafactorial import (
     EdgePairKind,
     HamiltonianCycle,
     brute_force_sum_through,
-    canonicalize,
     count_all,
     count_through_edge,
     count_through_pair,
@@ -35,6 +34,7 @@ from extrafactorial.errors import (
 )
 from extrafactorial.graph import edge_key
 from oracles import (
+    canonicalize,
     cycle_edge_set,
     make_zero_graph,
     oracle_cycles,
@@ -78,6 +78,22 @@ class TestCanonicalize:
             canonicalize([0, 1])
         with pytest.raises(TooShort):
             HamiltonianCycle((0, 1))
+
+    @pytest.mark.parametrize(
+        "raw, error, message",
+        [
+            ((0, 1), TooShort, "cycles need at least 3 vertices, got 2"),
+            ((0, 1, 1), NotAPermutation, "repeated vertex in (0, 1, 1)"),
+            ([0, 2, 2, 1], NotAPermutation, "repeated vertex in (0, 2, 2, 1)"),
+            (iter([1, 0, 2]), NotCanonical, "(1, 0, 2) is not in canonical rotation/reflection"),
+            ((0, 3, 1, 2), NotCanonical, "(0, 3, 1, 2) is not in canonical rotation/reflection"),
+        ],
+    )
+    def test_constructor_error_text(self, raw, error, message):
+        # the vertices are named as a tuple, never as a cycle's closed walk
+        with pytest.raises(error) as info:
+            HamiltonianCycle(raw)
+        assert str(info.value) == message
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(NotCanonical):
@@ -155,7 +171,7 @@ class TestVertexInsertion:
             for parent in enumerate_all(n):
                 children = insert(parent, n)
                 assert len(set(children)) == n
-                assert all(c.order == n + 1 for c in children)
+                assert all(len(c) == n + 1 for c in children)
                 assert parent not in children
 
     def test_new_smallest_vertex_moves_to_the_front(self):
@@ -236,7 +252,7 @@ class TestLaziness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [c.order for c in first] == [12, 12, 12]
+        assert [len(c) for c in first] == [12, 12, 12]
         assert peak < 1 << 20
 
 
@@ -247,6 +263,7 @@ class TestStreamedCyclesAreCanonical:
     def _assert_checked(cycles):
         count = 0
         for c in cycles:
+            assert type(c) is HamiltonianCycle
             assert type(c.vertices) is tuple
             assert HamiltonianCycle(c.vertices) == c
             count += 1

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -32,16 +33,21 @@ from extrafactorial.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
+from extrafactorial.graph import pairs
 from oracles import (
+    cycle_edge_set,
     efs_breakdown_explicit,
     make_graph5,
     make_uniform_graph,
     make_zero_graph,
+    oracle_cycles,
     oracle_mean_all,
     oracle_mean_not_through,
     oracle_mean_squared,
     oracle_sum_through,
     rel_close,
+    scale_graph,
+    subset_sums,
 )
 
 
@@ -124,6 +130,49 @@ class TestOracleEquivalence:
             )
 
 
+def integer_graph(n: int, seed: int) -> CompleteWeightedGraph:
+    rng = random.Random(seed)
+    return CompleteWeightedGraph(n, [rng.randint(-50, 50) for _ in range(n * (n - 1) // 2)])
+
+
+class TestSubsetSums:
+    """The subset-DP oracle, checked against the permutations oracle where
+    cycles can be listed, then used beyond that reach with exact equality."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_the_permutation_oracle(self, n):
+        g = integer_graph(n, n)
+        expected = {e: [0, 0, 0] for e in pairs(n)}
+        for c in oracle_cycles(n):
+            edges = cycle_edge_set(c)
+            length = sum(int(g.weight(*e)) for e in edges)
+            for e in edges:
+                sums = expected[e]
+                sums[0] += 1
+                sums[1] += length
+                sums[2] += length * length
+        assert subset_sums(g) == {e: tuple(sums) for e, sums in expected.items()}
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_closed_forms_beyond_enumeration(self, n):
+        g = integer_graph(n, n)
+        sums = subset_sums(g)
+        assert sorted(sums) == list(pairs(n))
+        through, shrink = math.factorial(n - 2), math.factorial(n - 3)
+        for e, efs in zip(pairs(n), efs_all(g)):
+            assert sums[e].count == through, e
+            assert Fraction(efs) * shrink == sums[e].total, e
+        # each cycle has two edges at vertex n-1
+        ends = [sums[(v, n - 1)] for v in range(n - 1)]
+        cycles = sum(t.count for t in ends) // 2
+        assert cycles == count_all(n)
+        # the closed forms are correctly rounded on these weights
+        total = Fraction(sum(t.total for t in ends), 2 * cycles)
+        squares = Fraction(sum(t.squares for t in ends), 2 * cycles)
+        assert mean_length_all(g) == float(total)
+        assert mean_squared_length(g) == float(squares)
+
+
 class TestEfsAll:
     def test_sample4_values(self, graph4):
         table = dict(zip(graph4.edges(), efs_all(graph4)))
@@ -163,7 +212,9 @@ class TestEfsAll:
                 with pytest.raises(OverflowError, match=rf"^efs of edge \({e.u}, {e.v}\)"):
                     edge_statistics(g, e)
             else:
-                assert math.isfinite(edge_statistics(g, e).efs)
+                # edge_statistics raises here: (n-2) * W overflows, so the
+                # mean of the cycles avoiding e does
+                assert math.isfinite(extra_factorial_sum(g, e))
 
 
 class TestSummationalGraph:
@@ -275,13 +326,13 @@ class TestMeans:
         # (n-2) * W overflows although the weights, the efs and the mean of the
         # cycles through (0, 1) are finite
         g = CompleteWeightedGraph(4, (0.0, 1.7e308, 0.0, 0.0, 0.0, 0.0))
-        with pytest.raises(
-            OverflowError, match=r"^mean_not_through of edge \(0, 1\) overflows the double range$"
-        ):
+        message = r"^mean_not_through of edge \(0, 1\) overflows the double range$"
+        with pytest.raises(OverflowError, match=message):
             mean_length_not_through(g, (1, 0))
         assert extra_factorial_sum(g, (0, 1)) == 1.7e308
         assert mean_length_through(g, (0, 1)) == 8.5e307
-        assert edge_statistics(g, (0, 1)).mean_not_through == math.inf
+        with pytest.raises(OverflowError, match=message):
+            edge_statistics(g, (0, 1))
 
     def test_no_complement_at_order3(self):
         with pytest.raises(NoComplementCycles):
@@ -399,14 +450,14 @@ class TestMeanSquared:
 class TestScaling:
     @pytest.mark.parametrize("c", [0.5, 2.0, -1.0])
     def test_efs_scales_exactly_for_dyadic_factors(self, graph5, c):
-        scaled = graph5.scale(c)
+        scaled = scale_graph(graph5, c)
         for e in graph5.edges():
             assert extra_factorial_sum(scaled, e) == c * extra_factorial_sum(graph5, e)
 
     @given(graphs(), st.floats(min_value=-50, max_value=50))
     @settings(max_examples=40)
     def test_efs_scales_linearly(self, g, c):
-        scaled = g.scale(c)
+        scaled = scale_graph(g, c)
         for e in g.edges():
             assert extra_factorial_sum(scaled, e) == pytest.approx(
                 c * extra_factorial_sum(g, e), rel=1e-12, abs=1e-9

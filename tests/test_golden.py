@@ -28,7 +28,7 @@ from extrafactorial import (
     serialize_graph,
 )
 from extrafactorial.cli import run
-from oracles import make_graph4, make_graph5
+from oracles import make_graph4, make_graph5, scale_graph
 
 
 def tie_graph(a: int, b: int, mod: int = 5, shift: int = 0) -> CompleteWeightedGraph:
@@ -58,10 +58,10 @@ GRAPHS = {
     # and the first in (u, v) order each yield a different printed deviation
     "sym30": lambda: tie_graph(2, 3, mod=7, shift=3),
     "sym30p": lambda: odd_rows_raised(tie_graph(2, 3, mod=7, shift=3)),
-    "tie30x2": lambda: tie_graph(7, 3).scale(2.0),
+    "tie30x2": lambda: scale_graph(tie_graph(7, 3), 2.0),
     "r60": lambda: random_graph(60, 2016, -10.0, 10.0),
     "r60b": lambda: random_graph(60, 2017, -10.0, 10.0),
-    "r60neg": lambda: random_graph(60, 2016, -10.0, 10.0).scale(-3.0),
+    "r60neg": lambda: scale_graph(random_graph(60, 2016, -10.0, 10.0), -3.0),
     "r6": lambda: random_graph(6, 2016, -10.0, 10.0),
     "r3": lambda: random_graph(3, 2016, -10.0, 10.0),
     "g4": make_graph4,

@@ -1,9 +1,10 @@
 """The value classes: immutability, equality, hashing, copying and pickling.
 
-``CompleteWeightedGraph`` and ``HamiltonianCycle`` are hand-written immutable
-classes, and ``RankedProfile`` and ``ProfileComparison`` are named tuples. A
-graph's weights and a profile's columns are read-only views, which cannot be
-hashed or pickled; a cycle holds a tuple and can be both.
+``CompleteWeightedGraph`` is a hand-written immutable class, a
+``HamiltonianCycle`` is a tuple of its canonical vertices, and
+``RankedProfile`` and ``ProfileComparison`` are named tuples. A graph's
+weights and a profile's columns are read-only views, which cannot be hashed
+or pickled; a cycle, as a tuple, can be both.
 """
 
 import copy
@@ -20,6 +21,7 @@ from extrafactorial import (
     enumerate_all,
     ranked_profile,
 )
+from oracles import scale_graph
 
 
 @pytest.fixture
@@ -51,6 +53,19 @@ def test_cycle_vertices_refuse_assignment_and_deletion():
     with pytest.raises(AttributeError):
         c.extra = 1
     assert c.vertices == (0, 2, 1, 3)
+
+
+def test_cycle_is_the_tuple_of_its_vertices():
+    c = HamiltonianCycle((0, 2, 1, 3))
+    assert c == (0, 2, 1, 3)
+    assert hash(c) == hash((0, 2, 1, 3))
+    assert type(c.vertices) is tuple
+    assert c.vertices == c
+    assert len(c) == 4
+    assert c[1] == 2
+    assert list(c) == [0, 2, 1, 3]
+    assert HamiltonianCycle((0, 1, 2, 3)) < c
+    assert str(c) == "0-2-1-3-0"
 
 
 def test_profile_fields_refuse_assignment(graph):
@@ -114,6 +129,6 @@ def test_profile_records_are_named_tuples(graph):
     p = ranked_profile(graph)
     assert RankedProfile._fields == ("n", "order", "efs")
     assert tuple(p) == (p.n, p.order, p.efs)
-    comparison = compare_profiles(p, ranked_profile(graph.scale(2)))
+    comparison = compare_profiles(p, ranked_profile(scale_graph(graph, 2)))
     assert ProfileComparison._fields == ("same_ranking", "scale_factor", "max_relative_deviation")
     assert comparison == (True, 2.0, 0.0)
