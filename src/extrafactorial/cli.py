@@ -29,6 +29,7 @@ from typing import Iterable
 
 from . import __version__
 from .cycles import (
+    EdgePairKind,
     count_all,
     count_through_edge,
     count_through_pair,
@@ -132,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Output:
         stream = enumerate_through_edge(g.n, args.through, max_order=args.max_order)
     elif args.pair is not None:
         u, v, x, y = args.pair
-        _, stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
+        stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
     else:
         stream = enumerate_all(g.n, max_order=args.max_order)
     return 0, (f"{c}  {_fmt(cycle_length(g, c))}\n" for c in islice(stream, args.limit))
@@ -188,12 +189,14 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         mean_squared_length(g), squares_sum / total_cycles
     )
 
-    kind, stream = enumerate_through_pair(n, (0, 1), (1, 2), max_order=cap)
-    checks["adjacent_pair_count"] = sum(1 for _ in stream) == count_through_pair(n, kind)
+    stream = enumerate_through_pair(n, (0, 1), (1, 2), max_order=cap)
+    checks["adjacent_pair_count"] = (
+        sum(1 for _ in stream) == count_through_pair(n, EdgePairKind.ADJACENT)
+    )
     if n >= 4:
-        kind, stream = enumerate_through_pair(n, (0, 1), (2, 3), max_order=cap)
+        stream = enumerate_through_pair(n, (0, 1), (2, 3), max_order=cap)
         checks["non_adjacent_pair_count"] = (
-            sum(1 for _ in stream) == count_through_pair(n, kind)
+            sum(1 for _ in stream) == count_through_pair(n, EdgePairKind.NON_ADJACENT)
         )
 
     report = []

@@ -10,7 +10,8 @@ recovers a unique parent. Each child is built starting at its smallest vertex
 its reflection can need fixing. Constrained variants protect one or two edges
 from breaking, which restricts the output to the cycles traversing them; they
 seed with every cycle on the protected edges' vertices (topped up to three)
-that traverses all of them.
+that traverses all of them, built canonical and ascending: the smallest vertex,
+then each lexicographic order of the rest that starts below where it ends.
 
 A stream is a pipeline of lazy levels, one per inserted vertex: each level
 maps the cycles of the level before to their children and chains them, so the
@@ -21,10 +22,10 @@ number of cycles produced.
 A ``HamiltonianCycle`` is a tuple of its canonical vertices, so it compares,
 hashes, orders and pickles as that tuple does, and equals the plain tuple.
 The stream wraps its tuples with ``tuple.__new__``, which skips the
-constructor's checks: ``_children`` and the seeds' ``_canonical`` already make
-every tuple a canonical permutation, and re-checking its length, distinctness
-and rotation would cost each of the factorially many cycles about as much
-again as making its tuple. The public constructor keeps every check.
+constructor's checks: the seeds and ``_children`` already make every tuple a
+canonical permutation, and re-checking its length, distinctness and rotation
+would cost each of the factorially many cycles about as much again as making
+its tuple. The public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -52,24 +53,15 @@ from .graph import CompleteWeightedGraph, EdgeKey, edge_key
 DEFAULT_ENUMERATION_CAP = 12
 
 
-def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-    # rotate the smallest vertex to the front, then orient so the second
-    # vertex is smaller than the last
-    i = seq.index(min(seq))
-    rot = seq[i:] + seq[:i]
-    if rot[1] > rot[-1]:
-        rot = (rot[0],) + rot[:0:-1]
-    return rot
-
-
 class HamiltonianCycle(tuple):
     """One closed walk over distinct vertices: the tuple of them in canonical form.
 
     Canonical form: the smallest vertex first and the second vertex smaller
     than the last, which fixes rotation and reflection so each of the
     (n-1)!/2 cycles of a complete graph has exactly one representation.
-    The constructor takes any iterable of vertices. A cycle equals, hashes
-    and orders as the tuple of its vertices; its ``str`` is the closed walk.
+    The constructor takes any iterable of non-negative vertex ids. A cycle
+    equals, hashes and orders as the tuple of its vertices; its ``str`` is
+    the closed walk.
     """
 
     __slots__ = ()
@@ -82,6 +74,8 @@ class HamiltonianCycle(tuple):
             raise NotAPermutation(f"repeated vertex in {v}")
         if v[0] != min(v) or v[1] > v[-1]:
             raise NotCanonical(f"{v} is not in canonical rotation/reflection")
+        if v[0] < 0:
+            raise VertexOutOfRange(f"vertex ids must be non-negative, got {v}")
         return tuple.__new__(cls, v)
 
     @property
@@ -137,7 +131,16 @@ def _children(
     return [c if c[1] < c[-1] else c[:1] + c[:0:-1] for c in raw]
 
 
-def _check_order(n: int, max_order: int | None) -> None:
+def _stream(
+    n: int, through: tuple[tuple[int, int], ...], max_order: int | None
+) -> Iterator[HamiltonianCycle]:
+    # the one checked entry to every stream: each edge, the pair's
+    # distinctness, the largest vertex, the order, then the cap
+    keys = [edge_key(*e) for e in through]
+    if len(keys) == 2:
+        edge_pair_kind(*keys)  # raises SameEdge
+    if keys and (top := max(k.v for k in keys)) >= n:
+        raise VertexOutOfRange(f"vertex {top} not in [0, {n})")
     if n < 3:
         raise OrderTooSmall(f"enumeration needs order >= 3, got {n}")
     cap = DEFAULT_ENUMERATION_CAP if max_order is None else max_order
@@ -146,23 +149,18 @@ def _check_order(n: int, max_order: int | None) -> None:
             f"order {n} exceeds the enumeration cap {cap}; "
             f"raise max_order to override"
         )
-
-
-def _stream(n: int, protected: frozenset[EdgeKey]) -> Iterator[HamiltonianCycle]:
-    # seeds: every canonical cycle on the protected edges' vertices, topped up
-    # to three with the smallest free vertices, that traverses them all; then
-    # one lazy level per remaining vertex, inserted in ascending order
-    used = sorted({v for e in protected for v in e})
+    # seeds: each cycle on the protected edges' vertices, topped up to three
+    # with the smallest free vertices, that traverses them all, canonical and
+    # ascending as made; then one lazy level per remaining vertex, ascending
+    protected = frozenset(keys)
+    used = {v for e in protected for v in e}
     free = [v for v in range(n) if v not in used]
     top_up = max(0, 3 - len(used))
-    on_seeds = used + free[:top_up]
-    level: Iterable[tuple[int, ...]] = sorted(
-        {
-            c
-            for c in map(_canonical, permutations(on_seeds))
-            if protected.issubset(HamiltonianCycle(c).edges())
-        }
-    )
+    first, *rest = sorted([*used, *free[:top_up]])
+    seeds = ((first, *p) for p in permutations(rest) if p[0] < p[-1])
+    level: Iterable[tuple[int, ...]] = [
+        c for c in seeds if protected.issubset(HamiltonianCycle(c).edges())
+    ]
     for x in free[top_up:]:
         level = chain.from_iterable(map(partial(_children, x=x, protected=protected), level))
     # a C-level wrap of each canonical tuple, without the constructor's checks
@@ -175,8 +173,7 @@ def enumerate_all(n: int, *, max_order: int | None = None) -> Iterator[Hamiltoni
     Deterministic: seeded with the triangle [0, 1, 2], vertices 3..n-1
     inserted in ascending order, children visited in parent-edge order.
     """
-    _check_order(n, max_order)
-    return _stream(n, frozenset())
+    return _stream(n, (), max_order)
 
 
 def enumerate_through_edge(
@@ -187,11 +184,7 @@ def enumerate_through_edge(
     Seeds with the triangle on e's endpoints plus the smallest other vertex
     and inserts the rest in ascending order, never breaking `e`.
     """
-    key = edge_key(*e)
-    if key.v >= n:
-        raise VertexOutOfRange(f"vertex {key.v} not in [0, {n})")
-    _check_order(n, max_order)
-    return _stream(n, frozenset((key,)))
+    return _stream(n, (e,), max_order)
 
 
 class EdgePairKind(Enum):
@@ -215,59 +208,62 @@ def enumerate_through_pair(
     e2: tuple[int, int],
     *,
     max_order: int | None = None,
-) -> tuple[EdgePairKind, Iterator[HamiltonianCycle]]:
-    """The cycles of order n traversing both edges, with the pair's kind.
+) -> Iterator[HamiltonianCycle]:
+    """The cycles of order n traversing both edges.
 
     Yields (n-3)! cycles for an adjacent pair and 2(n-3)! for a non-adjacent
-    one. Adjacent pairs seed with the triangle on their three vertices;
-    non-adjacent pairs seed with the two 4-cycles that traverse both edges.
-    Neither protected edge ever breaks.
+    one (``edge_pair_kind`` tells which). Adjacent pairs seed with the
+    triangle on their three vertices; non-adjacent pairs seed with the two
+    4-cycles that traverse both edges. Neither protected edge ever breaks.
     """
-    a, b = edge_key(*e1), edge_key(*e2)
-    kind = edge_pair_kind(a, b)
-    if max(a.v, b.v) >= n:
-        raise VertexOutOfRange(f"vertex {max(a.v, b.v)} not in [0, {n})")
-    _check_order(n, max_order)
-    return kind, _stream(n, frozenset((a, b)))
+    return _stream(n, (e1, e2), max_order)
+
+
+def _forest_count(n: int, k: int, c: int, needs: str) -> int:
+    # the 2^(c-1)·(n-k-1)! Hamiltonian cycles of K_n that contain a fixed
+    # linear forest of k edges in c paths (c = 0 for no edges), defined from
+    # order max(3, k + c); `needs` opens the error message
+    minimum = max(3, k + c)
+    if n < minimum:
+        raise OrderTooSmall(f"{needs} order >= {minimum}, got {n}")
+    return math.factorial(n - k - 1) << c >> 1
 
 
 def count_all(n: int) -> int:
     """(n-1)!/2, the number of Hamiltonian cycles of the order-n complete graph."""
-    if n < 3:
-        raise OrderTooSmall(f"counting needs order >= 3, got {n}")
-    return math.factorial(n - 1) // 2
+    return _forest_count(n, 0, 0, "counting needs")
 
 
 def count_through_edge(n: int) -> int:
     """(n-2)!, the number of order-n cycles traversing any fixed edge."""
-    if n < 3:
-        raise OrderTooSmall(f"counting needs order >= 3, got {n}")
-    return math.factorial(n - 2)
+    return _forest_count(n, 1, 1, "counting needs")
 
 
 def count_through_pair(n: int, kind: EdgePairKind) -> int:
     """Cycles through an edge pair: (n-3)! if adjacent, 2(n-3)! otherwise."""
-    minimum = 3 if kind is EdgePairKind.ADJACENT else 4
-    if n < minimum:
-        raise OrderTooSmall(f"{kind.value} pairs need order >= {minimum}, got {n}")
-    base = math.factorial(n - 3)
-    return base if kind is EdgePairKind.ADJACENT else 2 * base
+    paths = 1 if kind is EdgePairKind.ADJACENT else 2
+    return _forest_count(n, 2, paths, f"{kind.value} pairs need")
 
 
 def cycle_length(g: CompleteWeightedGraph, cycle: HamiltonianCycle) -> float:
     """Sum of the n edge weights along the closed walk.
 
     Raises OverflowError when the sum leaves the double range: the weights
-    are finite, so a non-finite length is an overflow, not a value.
+    are finite, so a non-finite length is an overflow, not a value. Raises
+    VertexOutOfRange for a vertex not below the graph's order.
     """
     if len(cycle) != g.n:
         raise OrderMismatch(f"cycle order {len(cycle)} != graph order {g.n}")
     rows = g.matrix
     total = 0.0
     prev = cycle[-1]
-    for v in cycle:
-        total += rows[prev][v]
-        prev = v
+    try:
+        for v in cycle:
+            total += rows[prev][v]
+            prev = v
+    except IndexError:
+        # the constructor rejects negative ids, so the larger one is past n
+        raise VertexOutOfRange(f"vertex {max(prev, v)} not in [0, {g.n})") from None
     if not math.isfinite(total):
         raise OverflowError(f"length of cycle {cycle} overflows the double range")
     return total

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from extrafactorial import (
+    EdgePairKind,
     compare_profiles,
     count_through_pair,
     cycle_length,
@@ -105,9 +106,10 @@ def test_criterion_3_count_identities():
         for n in range(4, 9):
             adjacent = [((0, 1), (1, 2)), ((0, 2), (2, n - 1))]
             non_adjacent = [((0, 1), (2, 3)), ((0, n - 1), (1, 2))]
-            for e1, e2 in adjacent + non_adjacent:
-                kind, stream = enumerate_through_pair(n, e1, e2)
-                assert kind is edge_pair_kind(e1, e2)
+            kinds = [EdgePairKind.ADJACENT] * 2 + [EdgePairKind.NON_ADJACENT] * 2
+            for (e1, e2), kind in zip(adjacent + non_adjacent, kinds):
+                assert edge_pair_kind(e1, e2) is kind
+                stream = enumerate_through_pair(n, e1, e2)
                 assert sum(1 for _ in stream) == count_through_pair(n, kind)
 
 

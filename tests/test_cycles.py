@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -20,7 +21,7 @@ from extrafactorial import (
     enumerate_through_edge,
     enumerate_through_pair,
 )
-from extrafactorial.cycles import _canonical, _children
+from extrafactorial.cycles import _children
 from extrafactorial.errors import (
     EnumerationCapExceeded,
     NotAPermutation,
@@ -31,6 +32,7 @@ from extrafactorial.errors import (
     SelfLoop,
     TooShort,
     VertexOutOfRange,
+    XfsError,
 )
 from extrafactorial.graph import edge_key
 from oracles import (
@@ -87,6 +89,8 @@ class TestCanonicalize:
             ([0, 2, 2, 1], NotAPermutation, "repeated vertex in (0, 2, 2, 1)"),
             (iter([1, 0, 2]), NotCanonical, "(1, 0, 2) is not in canonical rotation/reflection"),
             ((0, 3, 1, 2), NotCanonical, "(0, 3, 1, 2) is not in canonical rotation/reflection"),
+            # -1 would index the last row of the weight matrix in cycle_length
+            ((-1, 0, 1), VertexOutOfRange, "vertex ids must be non-negative, got (-1, 0, 1)"),
         ],
     )
     def test_constructor_error_text(self, raw, error, message):
@@ -140,6 +144,15 @@ class TestCanonicalize:
         assert hash(from_list) == hash(from_tuple)
 
 
+def canonical_on(raw: tuple[int, ...]) -> tuple[int, ...]:
+    # the canonical form of a cycle on any distinct vertices: relabel them
+    # monotonically onto 0..k-1, which keeps the canonical form, canonicalize
+    # there, and map back
+    labels = sorted(raw)
+    rank = {v: i for i, v in enumerate(labels)}
+    return tuple(labels[i] for i in canonicalize([rank[v] for v in raw]))
+
+
 def insert(cycle: HamiltonianCycle, x: int) -> list[HamiltonianCycle]:
     # every child of `cycle` made by inserting vertex x, none protected
     return [HamiltonianCycle(c) for c in _children(cycle.vertices, x, frozenset())]
@@ -186,7 +199,7 @@ class TestVertexInsertion:
         cases = 0
         for size in (3, 4, 5):
             for subset in combinations(range(7), size):
-                for verts in sorted(set(map(_canonical, permutations(subset)))):
+                for verts in sorted(set(map(canonical_on, permutations(subset)))):
                     keys = [edge_key(a, b) for a, b in zip(verts, verts[1:] + verts[:1])]
                     protections = [frozenset()]
                     protections += [frozenset((k,)) for k in keys]
@@ -194,7 +207,7 @@ class TestVertexInsertion:
                     for x in set(range(7)) - set(verts):
                         for p in protections:
                             expected = [
-                                _canonical(verts[: i + 1] + (x,) + verts[i + 1 :])
+                                canonical_on(verts[: i + 1] + (x,) + verts[i + 1 :])
                                 for i, k in enumerate(keys)
                                 if k not in p
                             ]
@@ -241,7 +254,7 @@ class TestLaziness:
         "make",
         [
             lambda: enumerate_all(12),
-            lambda: enumerate_through_pair(12, (3, 7), (5, 9))[1],
+            lambda: enumerate_through_pair(12, (3, 7), (5, 9)),
         ],
         ids=["all", "pair"],
     )
@@ -280,13 +293,11 @@ class TestStreamedCyclesAreCanonical:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_through_an_adjacent_and_a_non_adjacent_pair(self, n):
-        kind, stream = enumerate_through_pair(n, (0, n - 1), (n - 1, 1))
-        assert kind is EdgePairKind.ADJACENT
-        self._assert_checked(stream)
+        assert edge_pair_kind((0, n - 1), (n - 1, 1)) is EdgePairKind.ADJACENT
+        self._assert_checked(enumerate_through_pair(n, (0, n - 1), (n - 1, 1)))
         if n >= 4:
-            kind, stream = enumerate_through_pair(n, (1, n - 1), (0, 2))
-            assert kind is EdgePairKind.NON_ADJACENT
-            self._assert_checked(stream)
+            assert edge_pair_kind((1, n - 1), (0, 2)) is EdgePairKind.NON_ADJACENT
+            self._assert_checked(enumerate_through_pair(n, (1, n - 1), (0, 2)))
 
 
 class TestEnumerateThroughEdge:
@@ -322,21 +333,19 @@ class TestEnumerateThroughEdge:
 
 class TestEnumerateThroughPair:
     def test_adjacent_sample(self):
-        kind, stream = enumerate_through_pair(5, (0, 4), (3, 4))
-        cycles = list(stream)
-        assert kind is EdgePairKind.ADJACENT
+        cycles = list(enumerate_through_pair(5, (0, 4), (3, 4)))
+        assert edge_pair_kind((0, 4), (3, 4)) is EdgePairKind.ADJACENT
         assert len(cycles) == 2  # (n-3)!
         for c in cycles:
             assert c.contains_edge(0, 4) and c.contains_edge(3, 4)
 
     def test_non_adjacent_order4(self):
-        kind, stream = enumerate_through_pair(4, (0, 1), (2, 3))
-        cycles = list(stream)
-        assert kind is EdgePairKind.NON_ADJACENT
+        cycles = list(enumerate_through_pair(4, (0, 1), (2, 3)))
+        assert edge_pair_kind((0, 1), (2, 3)) is EdgePairKind.NON_ADJACENT
         assert {c.vertices for c in cycles} == {(0, 1, 2, 3), (0, 1, 3, 2)}
 
     def test_non_adjacent_order6(self):
-        _, stream = enumerate_through_pair(6, (0, 1), (2, 3))
+        stream = enumerate_through_pair(6, (0, 1), (2, 3))
         assert sum(1 for _ in stream) == 12  # 2 (n-3)!
 
     @pytest.mark.parametrize("n", range(4, 7))
@@ -357,9 +366,8 @@ class TestEnumerateThroughPair:
 
     @staticmethod
     def _check_pair_against_filter(n, e1, e2):
-        kind, stream = enumerate_through_pair(n, e1, e2)
-        cycles = list(stream)
-        expected_count = count_through_pair(n, kind)
+        cycles = list(enumerate_through_pair(n, e1, e2))
+        expected_count = count_through_pair(n, edge_pair_kind(e1, e2))
         assert len(cycles) == expected_count
         assert len(set(cycles)) == expected_count
         filtered = {
@@ -370,8 +378,8 @@ class TestEnumerateThroughPair:
         assert {c.vertices for c in cycles} == filtered
 
     def test_adjacent_pair_minimum_order(self):
-        kind, stream = enumerate_through_pair(3, (0, 1), (1, 2))
-        assert kind is EdgePairKind.ADJACENT
+        assert edge_pair_kind((0, 1), (1, 2)) is EdgePairKind.ADJACENT
+        stream = enumerate_through_pair(3, (0, 1), (1, 2))
         assert [c.vertices for c in stream] == [(0, 1, 2)]
 
     def test_same_edge(self):
@@ -408,6 +416,15 @@ class TestCycleLength:
         with pytest.raises(OrderMismatch):
             cycle_length(graph4, canonicalize([0, 1, 2]))
 
+    @pytest.mark.parametrize(
+        "verts, vertex", [((0, 1, 5), 5), ((0, 1, 2, 7), 7), ((0, 2, 5, 3), 5)]
+    )
+    def test_vertex_past_the_order_is_named(self, verts, vertex):
+        g = make_zero_graph(len(verts))
+        with pytest.raises(VertexOutOfRange) as info:
+            cycle_length(g, HamiltonianCycle(verts))
+        assert str(info.value) == f"vertex {vertex} not in [0, {len(verts)})"
+
 
 class TestCounts:
     def test_known_values(self):
@@ -434,6 +451,128 @@ class TestCounts:
             count_through_edge(2)
         with pytest.raises(OrderTooSmall):
             count_through_pair(3, EdgePairKind.NON_ADJACENT)
+
+
+def _cap(n, cap):
+    return f"order {n} exceeds the enumeration cap {cap}; raise max_order to override"
+
+
+class TestErrorText:
+    # each stream runs its checks in this order: each edge (self-loop, then
+    # negative id), the pair's distinctness, the largest vertex against the
+    # order, the order, then the cap. Most rows would also fail every later
+    # check, which pins that order; exact types, exact messages.
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: enumerate_through_edge(2, (9, 9), max_order=1),
+                SelfLoop, "edge (9, 9) joins a vertex to itself", id="edge-self-loop",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(2, (0, 9), (-1, -1), max_order=1),
+                SelfLoop, "edge (-1, -1) joins a vertex to itself", id="pair-self-loop",
+            ),
+            pytest.param(
+                lambda: enumerate_through_edge(2, (9, -1), max_order=1),
+                VertexOutOfRange, "vertex ids must be non-negative, got (9, -1)",
+                id="edge-negative",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(2, (-1, 9), (9, 9), max_order=1),
+                VertexOutOfRange, "vertex ids must be non-negative, got (-1, 9)",
+                id="pair-negative-first",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(2, (0, 9), (9, 0), max_order=1),
+                SameEdge, "edge pair must differ, got (0, 9) twice", id="pair-same-edge",
+            ),
+            pytest.param(
+                lambda: enumerate_through_edge(2, (9, 0), max_order=1),
+                VertexOutOfRange, "vertex 9 not in [0, 2)", id="edge-vertex-past-n",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(2, (0, 7), (9, 1), max_order=1),
+                VertexOutOfRange, "vertex 9 not in [0, 2)", id="pair-larger-vertex-second",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(5, (9, 0), (1, 7)),
+                VertexOutOfRange, "vertex 9 not in [0, 5)", id="pair-larger-vertex-first",
+            ),
+            pytest.param(
+                # two distinct edges span three vertices: order 2 fails the range
+                lambda: enumerate_through_pair(2, (0, 1), (1, 2), max_order=1),
+                VertexOutOfRange, "vertex 2 not in [0, 2)", id="pair-order-2",
+            ),
+            pytest.param(
+                lambda: enumerate_all(2, max_order=1),
+                OrderTooSmall, "enumeration needs order >= 3, got 2", id="all-order-2",
+            ),
+            pytest.param(
+                lambda: enumerate_all(-1),
+                OrderTooSmall, "enumeration needs order >= 3, got -1", id="all-order-negative",
+            ),
+            pytest.param(
+                lambda: enumerate_through_edge(2, (0, 1), max_order=1),
+                OrderTooSmall, "enumeration needs order >= 3, got 2", id="edge-order-2",
+            ),
+            pytest.param(
+                lambda: enumerate_all(DEFAULT_ENUMERATION_CAP + 1),
+                EnumerationCapExceeded, _cap(DEFAULT_ENUMERATION_CAP + 1, DEFAULT_ENUMERATION_CAP),
+                id="all-cap",
+            ),
+            pytest.param(
+                lambda: enumerate_all(6, max_order=5),
+                EnumerationCapExceeded, _cap(6, 5), id="all-max-order",
+            ),
+            pytest.param(
+                lambda: enumerate_through_edge(13, (0, 12)),
+                EnumerationCapExceeded, _cap(13, 12), id="edge-cap",
+            ),
+            pytest.param(
+                lambda: enumerate_through_edge(4, (0, 3), max_order=3),
+                EnumerationCapExceeded, _cap(4, 3), id="edge-max-order",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(13, (0, 12), (12, 11)),
+                EnumerationCapExceeded, _cap(13, 12), id="pair-cap",
+            ),
+            pytest.param(
+                lambda: enumerate_through_pair(4, (0, 1), (2, 3), max_order=-1),
+                EnumerationCapExceeded, _cap(4, -1), id="pair-max-order",
+            ),
+        ],
+    )
+    def test_enumerators(self, call, error, message):
+        with pytest.raises(XfsError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize(
+        "count, minimum, needs",
+        [
+            pytest.param(count_all, 3, "counting needs", id="all"),
+            pytest.param(count_through_edge, 3, "counting needs", id="edge"),
+            pytest.param(
+                partial(count_through_pair, kind=EdgePairKind.ADJACENT), 3,
+                "adjacent pairs need", id="adjacent-pair",
+            ),
+            pytest.param(
+                partial(count_through_pair, kind=EdgePairKind.NON_ADJACENT), 4,
+                "non-adjacent pairs need", id="non-adjacent-pair",
+            ),
+        ],
+    )
+    def test_counts_at_orders_0_to_3(self, count, minimum, needs, n):
+        if n >= minimum:
+            assert count(n) == 1
+            return
+        with pytest.raises(XfsError) as info:
+            count(n)
+        assert (type(info.value), str(info.value)) == (
+            OrderTooSmall, f"{needs} order >= {minimum}, got {n}"
+        )
 
 
 class TestContainsEdge:

@@ -170,7 +170,7 @@ def test_stream_order_digest():
     edges = list(combinations(range(n), 2))
     streams = [enumerate_all(n)]
     streams += [enumerate_through_edge(n, e) for e in edges]
-    streams += [enumerate_through_pair(n, (v, u), f)[1] for (u, v), f in permutations(edges, 2)]
+    streams += [enumerate_through_pair(n, (v, u), f) for (u, v), f in permutations(edges, 2)]
     h = hashlib.sha256()
     yielded = 0
     for stream in streams:
