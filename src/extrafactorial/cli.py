@@ -10,6 +10,9 @@ Subcommands
 
 Exit codes: 0 success, 1 domain error (bad graph, cap exceeded, arithmetic
 overflow, failed verification), 2 usage error (bad flags, unreadable file).
+A graph file is read and decoded in blocks of whole lines as it is parsed,
+so it is never held whole; a byte that is not UTF-8 anywhere in it is still
+reported before any error in its text.
 A reader that closes stdout early ends the process by SIGPIPE, quietly.
 On an error, every command except `enumerate` leaves stdout empty, and
 `enumerate` keeps the lines it printed before the error. Run it as the
@@ -25,7 +28,7 @@ import sys
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from . import __version__
 from .cycles import (
@@ -47,6 +50,7 @@ from .efs import (
 )
 from .errors import XfsError
 from .graph import (
+    _CHUNK_CHARS,
     CompleteWeightedGraph,
     format_weight,
     parse_graph,
@@ -87,13 +91,36 @@ def _limit_arg(text: str) -> int:
 
 
 def _load(path: str) -> CompleteWeightedGraph:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # unreadable, like a missing file: exit 2
-        raise OSError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    # a leading byte-order mark is dropped after decoding, so the byte offset
-    # of a decoding error still counts from the start of the file
-    return parse_graph(text.removeprefix("\ufeff"))
+    # Path.open names the file in an OSError as Path(path) spells it
+    with Path(path).open("rb") as f:
+        blocks = _utf8_blocks(path, f)
+        try:
+            return parse_graph(blocks)
+        except XfsError:
+            # a byte that is not UTF-8 anywhere in the file outranks any
+            # error in its text, as when the file was decoded before parsing
+            for _ in blocks:
+                pass
+            raise
+
+
+def _utf8_blocks(path: str, f: BinaryIO) -> Iterator[str]:
+    """The text of `f` in blocks of whole lines, about ``_CHUNK_CHARS`` bytes each.
+
+    A block ends after a line feed, which is never inside a UTF-8 sequence,
+    so each block decodes on its own.
+    """
+    offset = 0
+    while block := f.read(_CHUNK_CHARS) + f.readline():
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:  # unreadable, like a missing file: exit 2
+            at = offset + exc.start
+            raise OSError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {at}") from None
+        # a leading byte-order mark is dropped after decoding, so the byte
+        # offset of a decoding error still counts from the start of the file
+        yield text if offset else text.removeprefix("\ufeff")
+        offset += len(block)
 
 
 def _cmd_stats(args: argparse.Namespace) -> Output:

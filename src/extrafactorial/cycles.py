@@ -59,15 +59,17 @@ class HamiltonianCycle(tuple):
     Canonical form: the smallest vertex first and the second vertex smaller
     than the last, which fixes rotation and reflection so each of the
     (n-1)!/2 cycles of a complete graph has exactly one representation.
-    The constructor takes any iterable of non-negative vertex ids. A cycle
-    equals, hashes and orders as the tuple of its vertices; its ``str`` is
-    the closed walk.
+    The constructor takes any iterable of non-negative ``int`` vertex ids.
+    A cycle equals, hashes and orders as the tuple of its vertices; its
+    ``str`` is the closed walk.
     """
 
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[int]):
         v = tuple(vertices)
+        if not all(isinstance(x, int) for x in v):
+            raise TypeError(f"vertex ids must be integers, got {v}")
         if len(v) < 3:
             raise TooShort(f"cycles need at least 3 vertices, got {len(v)}")
         if len(set(v)) != len(v):

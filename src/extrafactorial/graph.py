@@ -13,12 +13,13 @@ cycle lengths. ``build_graph`` takes columns already in it as they are,
 ``_row_major``'s columns. Instances are immutable and safe to share across
 threads; all operations are pure.
 
-``parse_graph`` reads the text format in blocks of whole lines. A block of
-lines that each hold three numbers, as ``serialize_graph`` writes them, is
-split into tokens at once and its three columns are converted by strided
-maps. Any other block goes through the line loop, which is the only source
-of ``GraphSyntaxError``, so an error's message and line number do not depend
-on where the blocks end. ``build_graph`` turns the columns into the graph.
+``parse_graph`` reads the text format in blocks of whole lines: ``_blocks``
+cuts a str into them, and a caller that reads a file hands them over as it
+reads them. A block of lines that each hold three numbers, as
+``serialize_graph`` writes them, is split into tokens at once and its three
+columns are converted by strided maps. Any other block goes through the
+line loop, which is the only source of ``GraphSyntaxError``, so an error's
+message and line number do not depend on where the blocks end. ``build_graph`` turns the columns into the graph.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ class EdgeKey(NamedTuple):
 def edge_key(u: int, v: int) -> EdgeKey:
     """Normalize a vertex pair into an :class:`EdgeKey`.
 
-    Raises SelfLoop if the endpoints coincide and VertexOutOfRange for
-    negative ids. Upper-bound checks happen against a concrete graph.
+    Raises TypeError for an id that is not an ``int``, SelfLoop if the
+    endpoints coincide and VertexOutOfRange for negative ids. Upper-bound
+    checks happen against a concrete graph.
     """
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise TypeError(f"vertex ids must be integers, got ({u!r}, {v!r})")
     if u == v:
         raise SelfLoop(f"edge ({u}, {v}) joins a vertex to itself")
     if u < 0 or v < 0:
@@ -246,13 +250,25 @@ def serialize_graph(g: CompleteWeightedGraph) -> str:
 
 
 #: ``parse_graph`` cuts a text into blocks of whole lines about this many
-#: characters long. A block over twice as long holds a line that long, as a
-#: text with no line feed does, and is read line by line: split into tokens
-#: at once, it would take several times the memory of the line loop.
+#: characters long, and ``cli`` reads a file in blocks of about this many
+#: bytes. A block over twice as long holds a line that long, as a text with
+#: no line feed does, and is read line by line: split into tokens at once,
+#: it would take several times the memory of the line loop.
 _CHUNK_CHARS = 1 << 16
 
 
-def parse_graph(text: str) -> CompleteWeightedGraph:
+def _blocks(text: str) -> Iterator[str]:
+    # ``text`` as blocks that each end after the first line feed at least
+    # ``_CHUNK_CHARS`` characters in, so the lines that ``splitlines()``
+    # gives for the blocks are those it gives for the text
+    start, stop = 0, len(text)
+    while start < stop:
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or stop
+        yield text[start:end]
+        start = end
+
+
+def parse_graph(text: str | Iterable[str]) -> CompleteWeightedGraph:
     """Parse the graph text format.
 
     Lines starting with '#' and blank lines are ignored. The first data line
@@ -260,11 +276,14 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     integer vertex ids and a decimal weight (scientific notation allowed).
     All pairs must be present, in any order.
 
-    The text is read in blocks of about 64 KiB of whole lines. A block after
-    the header whose every line holds three numbers is split into tokens at
-    once; any other block, such as one with the header, a comment, a blank
-    line or a bad line, is read line by line, which is the only path that
-    reports a ``GraphSyntaxError``, with its line number.
+    ``text`` is the whole text as one str, or an iterable of its blocks, each
+    made of whole lines: every block but the last ends with a line break.
+    The iterable is read once, block by block, so a file read in blocks is
+    never held whole. A str is cut into blocks of about 64 KiB of whole
+    lines. A block after the header whose every line holds three numbers is
+    split into tokens at once; any other block, such as one with the header,
+    a comment, a blank line or a bad line, is read line by line, which is
+    the only path that reports a ``GraphSyntaxError``, with its line number.
     """
     n: int | None = None
     # three flat columns: their ints are not tracked by the cyclic garbage
@@ -274,15 +293,10 @@ def parse_graph(text: str) -> CompleteWeightedGraph:
     vs: list[int] = []
     ws = array("d")
     ids = _VertexIds()
-    line_no = start = 0
-    stop = len(text)
-    while start < stop:
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or stop
-        # a block ends after a line feed, so its lines are those that
-        # ``text.splitlines()`` gives for it
-        lines = text[start:end].splitlines()
-        short = end - start <= 2 * _CHUNK_CHARS
-        start = end
+    line_no = 0
+    for block in _blocks(text) if isinstance(text, str) else text:
+        lines = block.splitlines()
+        short = len(block) <= 2 * _CHUNK_CHARS
         if n is not None and short and _read_block(lines, ids, us, vs, ws):
             line_no += len(lines)
             continue

@@ -91,6 +91,8 @@ class TestCanonicalize:
             ((0, 3, 1, 2), NotCanonical, "(0, 3, 1, 2) is not in canonical rotation/reflection"),
             # -1 would index the last row of the weight matrix in cycle_length
             ((-1, 0, 1), VertexOutOfRange, "vertex ids must be non-negative, got (-1, 0, 1)"),
+            # 1.5 would print as a vertex of the closed walk "0-1.5-2-0"
+            ((0, 1.5, 2), TypeError, "vertex ids must be integers, got (0, 1.5, 2)"),
         ],
     )
     def test_constructor_error_text(self, raw, error, message):
@@ -547,6 +549,21 @@ class TestErrorText:
         with pytest.raises(XfsError) as info:
             call()
         assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # 0.5 would be inserted as a vertex: (0, 2, 0.5, 1, 3) at order 4
+            pytest.param(lambda: enumerate_through_edge(4, (0.5, 1)),
+                         "vertex ids must be integers, got (0.5, 1)", id="edge"),
+            pytest.param(lambda: enumerate_through_pair(5, (0, 1), (2, 3.0)),
+                         "vertex ids must be integers, got (2, 3.0)", id="pair"),
+        ],
+    )
+    def test_non_integer_vertex_ids(self, call, message):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize(

@@ -136,6 +136,12 @@ class TestEdgeKey:
         with pytest.raises(VertexOutOfRange):
             edge_key(-1, 2)
 
+    @pytest.mark.parametrize("u, v", [(0.5, 1), (1, 2.0), ("0", 1)])
+    def test_non_integer(self, u, v):
+        with pytest.raises(TypeError) as info:
+            edge_key(u, v)
+        assert str(info.value) == f"vertex ids must be integers, got ({u!r}, {v!r})"
+
 
 class TestBuildGraph:
     def test_sample4(self, graph4):

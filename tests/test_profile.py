@@ -1,5 +1,7 @@
+import random
 from array import array
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,51 @@ class TestRankedProfile:
         assert sorted(p.order) == list(range(len(p.efs)))
         values = [p.efs[k] for k in p.order]
         assert values == sorted(values)
+
+
+@st.composite
+def efs_columns(draw):
+    """Finite values for ``ranked_profile`` to rank: all equal, signed zeros,
+    a few distinct values, heavy-tailed or any, as many as on either side of
+    the 4,096 that it samples."""
+    m = draw(st.one_of(st.integers(3, 300), st.sampled_from([4095, 4096, 4097, 8193, 20000])))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["equal", "zeros", "few", "heavy", "any"]))
+    if kind == "equal":
+        return [draw(finite)] * m
+    if kind == "zeros":
+        return [rng.choice((0.0, -0.0)) for _ in range(m)]
+    if kind == "few":
+        # duplicate cuts and empty buckets
+        pool = draw(st.lists(finite, min_size=1, max_size=5))
+        return [rng.choice(pool) for _ in range(m)]
+    if kind == "heavy":
+        return [rng.choice((-1.0, 1.0)) * rng.paretovariate(0.3) for _ in range(m)]
+    return draw(st.lists(finite, min_size=3, max_size=300))
+
+
+class TestRankingIsTheStableSort:
+    @given(efs_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_any_values(self, values):
+        efs = memoryview(array("d", values)).toreadonly()
+        with mock.patch.object(profile, "efs_all", return_value=efs):
+            order = ranked_profile(random_graph(3, 0)).order
+        assert order.tolist() == sorted(range(len(efs)), key=efs.__getitem__)
+
+    @given(
+        st.integers(3, 12).flatmap(
+            lambda n: st.lists(
+                st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+            ).map(lambda ws: CompleteWeightedGraph(n, ws))
+        )
+    )
+    @settings(max_examples=100)
+    def test_graphs_with_tied_efs(self, g):
+        efs = efs_all(g)
+        assert ranked_profile(g).order.tolist() == sorted(range(len(efs)), key=efs.__getitem__)
 
 
 class TestCompareProfiles:
