@@ -14,8 +14,10 @@ A graph file is read and decoded in blocks of whole lines as it is parsed,
 so it is never held whole; a byte that is not UTF-8 anywhere in it is still
 reported before any error in its text.
 A reader that closes stdout early ends the process by SIGPIPE, quietly.
-On an error, every command except `enumerate` leaves stdout empty, and
-`enumerate` keeps the lines it printed before the error. Run it as the
+On an error, every command except `enumerate` leaves stdout empty.
+`enumerate` writes its lines in blocks of ``_BLOCK_LINES``, one write each
+even when stdout is unbuffered; on an error it first writes the lines made
+before it, so it keeps every line before the error. Run it as the
 installed `xfs` script or as `python -m extrafactorial.cli`.
 """
 
@@ -33,6 +35,8 @@ from typing import BinaryIO, Iterable, Iterator
 from . import __version__
 from .cycles import (
     EdgePairKind,
+    HamiltonianCycle,
+    _walk_format,
     count_all,
     count_through_edge,
     count_through_pair,
@@ -61,12 +65,18 @@ from .profile import compare_profiles, export_profile_csv, ranked_profile
 
 VERIFY_TOLERANCE = 1e-9
 
+#: Cycle lines per block of text that ``enumerate`` yields.
+_BLOCK_LINES = 1024
+
+#: The format of every value printed for reading: up to 12 significant
+#: digits, trailing zeros trimmed, as ``format(x, ".12g")`` gives them.
+_NUMBER = "%.12g"
+
 Output = tuple[int, Iterable[str]]  # a handler's exit code and its stdout as pieces of whole lines
 
 
 def _fmt(x: float) -> str:
-    """Up to 12 significant digits, trailing zeros trimmed."""
-    return format(x, ".12g")
+    return _NUMBER % x
 
 
 def _ints_arg(text: str, shape: str) -> tuple[int, ...]:
@@ -163,7 +173,30 @@ def _cmd_enumerate(args: argparse.Namespace) -> Output:
         stream = enumerate_through_pair(g.n, (u, v), (x, y), max_order=args.max_order)
     else:
         stream = enumerate_all(g.n, max_order=args.max_order)
-    return 0, (f"{c}  {_fmt(cycle_length(g, c))}\n" for c in islice(stream, args.limit))
+    return 0, _cycle_lines(g, islice(stream, args.limit))
+
+
+def _cycle_lines(g: CompleteWeightedGraph, cycles: Iterable[HamiltonianCycle]) -> Iterator[str]:
+    """Each cycle's line, its closed walk and its length, in blocks of
+    ``_BLOCK_LINES`` lines.
+
+    When a length raises, the lines before that cycle are yielded first, so
+    the error leaves them printed.
+    """
+    # one %-format per line: the walk's vertices, its first again, the length
+    line = f"{_walk_format(g.n)}  {_NUMBER}\n"
+    block: list[str] = []
+    try:
+        for c in cycles:
+            block.append(line % (c + (c[0], cycle_length(g, c))))
+            if len(block) == _BLOCK_LINES:
+                yield "".join(block)
+                block.clear()
+    except Exception:
+        yield "".join(block)
+        raise
+    if block:
+        yield "".join(block)
 
 
 def _close(value: float, reference: float) -> bool:

@@ -87,7 +87,9 @@ def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
     buckets at the quantiles of a strided sample of at most 4,096 of them,
     each index is appended to its bucket in index order, and each bucket is
     sorted stably by efs. Equal values, 0.0 and -0.0 among them, fall in
-    one bucket, so the buckets in turn give the stable sort's order.
+    one bucket, so the buckets in turn give the stable sort's order. A
+    bucket of more than twice the even share that holds one value, as when
+    many efs tie, is kept in index order without a sort.
     """
     efs = efs_all(g)
     sample = sorted(efs[:: (len(efs) + 4095) // 4096])
@@ -97,9 +99,14 @@ def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
     # append each index to its bucket, in index order, at C speed
     deque(map(array.append, map(buckets.__getitem__, bucket_of), count()), maxlen=0)
     order = array("q")
+    value = efs.__getitem__
+    crowded = len(efs) // 32  # twice the even share of 64 buckets
     for k, bucket in enumerate(buckets):
         buckets[k] = None  # freed once its indices are in `order`
-        order.fromlist(sorted(bucket, key=efs.__getitem__))
+        if len(bucket) > crowded and min(map(value, bucket)) == max(map(value, bucket)):
+            order.extend(bucket)  # one value: index order is the stable sort's
+        else:
+            order.fromlist(sorted(bucket, key=value))
     return RankedProfile(g.n, memoryview(order).toreadonly(), efs)
 
 

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ import extrafactorial
 from extrafactorial import (
     CompleteWeightedGraph,
     cli,
+    cycle_length,
     enumerate_all,
+    enumerate_through_edge,
+    enumerate_through_pair,
     export_profile_csv,
     graph,
     parse_graph,
@@ -268,6 +272,73 @@ class TestEnumerate:
         first = capsys.readouterr().out
         run(["enumerate", g5_file])
         assert capsys.readouterr().out == first
+
+
+def reference_lines(g: CompleteWeightedGraph, cycles) -> str:
+    """``xfs enumerate``'s output written one line per cycle, as the cycle
+    prints and as ``format`` gives the length."""
+    return "".join(f"{c}  {format(cycle_length(g, c), '.12g')}\n" for c in cycles)
+
+
+@pytest.fixture(scope="module")
+def g9(tmp_path_factory):
+    g = random_graph(9, 25, -10.0, 10.0)
+    path = tmp_path_factory.mktemp("order-9") / "g9.txt"
+    path.write_text(serialize_graph(g))
+    return g, str(path)
+
+
+class TestEnumerateBlocks:
+    """``enumerate`` joins its lines into blocks; the bytes are those of one
+    line per cycle."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("mode", ["all", "through", "pair"])
+    def test_same_bytes_as_one_line_per_cycle(self, tmp_path, capsys, n, mode):
+        g = random_graph(n, n, -10.0, 10.0)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        if mode == "all":
+            argv, cycles = [], enumerate_all(n)
+        elif mode == "through":
+            argv, cycles = ["--through", f"1,{n - 1}"], enumerate_through_edge(n, (1, n - 1))
+        else:
+            # non-adjacent from order 4, adjacent at order 3
+            e2 = (2, 3) if n > 3 else (1, 2)
+            argv = ["--pair", f"0,1,{e2[0]},{e2[1]}"]
+            cycles = enumerate_through_pair(n, (0, 1), e2)
+        assert run(["enumerate", str(path), *argv]) == 0
+        assert capsys.readouterr() == (reference_lines(g, cycles), "")
+
+    @pytest.mark.parametrize("limit", [0, 1, 1023, 1024, 1025])
+    def test_limit_around_one_block(self, g9, capsys, limit):
+        g, path = g9
+        assert run(["enumerate", path, "--limit", str(limit)]) == 0
+        expected = reference_lines(g, islice(enumerate_all(9), limit))
+        assert capsys.readouterr() == (expected, "")
+
+    def test_one_write_per_block(self, g9):
+        class CountingStdout(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.lines_per_write = []
+
+            def write(self, s):
+                self.lines_per_write.append(s.count("\n"))
+                return super().write(s)
+
+        _, path = g9
+        out = CountingStdout()
+        with redirect_stdout(out):
+            assert run(["enumerate", path]) == 0
+        lines = sum(out.lines_per_write)
+        assert lines == 20160
+        assert len(out.lines_per_write) <= -(-lines // 1024) + 1
+        assert max(out.lines_per_write) <= 1024
+
+    @given(st.floats())
+    def test_number_format_is_format_12g(self, x):
+        assert cli._fmt(x) == format(x, ".12g")
 
 
 class TestVerify:
@@ -621,6 +692,24 @@ class TestErrors:
         assert capsys.readouterr() == (
             "0-2-1-3-0  0\n",
             "error: OverflowError: length of cycle 0-1-3-2-0 overflows the double range\n",
+        )
+
+    def test_enumerate_keeps_every_block_before_the_overflowing_cycle(self, tmp_path, capsys):
+        # edges (0, 1) and (1, 2) of 1e308 overflow only the cycles through
+        # both, the first of which comes blocks into the order-9 stream
+        ws = [1e308 if e in ((0, 1), (1, 2)) else float(k % 7)
+              for k, e in enumerate(pairs(9))]
+        g = CompleteWeightedGraph(9, ws)
+        path = tmp_path / "overflow.txt"
+        path.write_text(serialize_graph(g))
+        cycles = list(enumerate_all(9))
+        first = next(k for k, c in enumerate(cycles)
+                     if c.contains_edge(0, 1) and c.contains_edge(1, 2))
+        assert first > 2 * 1024 and first % 1024
+        assert run(["enumerate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            reference_lines(g, cycles[:first]),
+            f"error: OverflowError: length of cycle {cycles[first]} overflows the double range\n",
         )
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 from unittest import mock
@@ -57,6 +58,22 @@ class TestRankedProfile:
         assert all(efs == 0.0 for efs in p.efs)
         assert p.edge_sequence() == tuple(make_zero_graph(5).edges())
 
+    def test_all_tied_order_1000_is_not_sorted(self):
+        # every efs ties: one bucket holds all 499,500 indices, which stay
+        # unboxed in index order; a sort with a boxed key each peaks near
+        # 40 MB. The efs are computed untraced, as tracing them takes seconds.
+        g = CompleteWeightedGraph(1000, [1.0] * 499500)
+        efs = efs_all(g)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(profile, "efs_all", return_value=efs):
+                order = ranked_profile(g).order
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert order == array("q", range(499500))
+        assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     @given(graphs())
     @settings(max_examples=40)
     def test_is_permutation_of_efs_all(self, g):
@@ -70,12 +87,12 @@ class TestRankedProfile:
 @st.composite
 def efs_columns(draw):
     """Finite values for ``ranked_profile`` to rank: all equal, signed zeros,
-    a few distinct values, heavy-tailed or any, as many as on either side of
-    the 4,096 that it samples."""
+    a few distinct values, mostly one value, heavy-tailed or any, as many as
+    on either side of the 4,096 that it samples."""
     m = draw(st.one_of(st.integers(3, 300), st.sampled_from([4095, 4096, 4097, 8193, 20000])))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["equal", "zeros", "few", "heavy", "any"]))
+    kind = draw(st.sampled_from(["equal", "zeros", "few", "mostly", "heavy", "any"]))
     if kind == "equal":
         return [draw(finite)] * m
     if kind == "zeros":
@@ -84,6 +101,10 @@ def efs_columns(draw):
         # duplicate cuts and empty buckets
         pool = draw(st.lists(finite, min_size=1, max_size=5))
         return [rng.choice(pool) for _ in range(m)]
+    if kind == "mostly":
+        # one crowded bucket holding the tied value and the values just above it
+        tied = draw(finite)
+        return [tied if rng.random() < 0.7 else rng.uniform(-1e6, 1e6) for _ in range(m)]
     if kind == "heavy":
         return [rng.choice((-1.0, 1.0)) * rng.paretovariate(0.3) for _ in range(m)]
     return draw(st.lists(finite, min_size=3, max_size=300))
