@@ -83,27 +83,28 @@ def ranked_profile(g: CompleteWeightedGraph) -> RankedProfile:
 
     The order is that of a stable sort of the row-major edge indices by efs,
     so ties keep (u, v) order. It is found by buckets, which keeps each
-    index unboxed outside the bucket being sorted: the efs are cut into 64
-    buckets at the quantiles of a strided sample of at most 4,096 of them,
-    each index is appended to its bucket in index order, and each bucket is
-    sorted stably by efs. Equal values, 0.0 and -0.0 among them, fall in
-    one bucket, so the buckets in turn give the stable sort's order. A
-    bucket of more than twice the even share that holds one value, as when
-    many efs tie, is kept in index order without a sort.
+    index unboxed outside the bucket being sorted. The cuts are the distinct
+    63 inner quantiles of a strided sample of at most 4,096 efs. A cut and
+    the next double above it bound a bucket of the cut's equals, 0.0 and
+    -0.0 together, kept in index order, the stable sort's; so a value that
+    many efs share, a cut then, costs no sort. Each bucket strictly between
+    two cuts is sorted stably by efs.
     """
     efs = efs_all(g)
     sample = sorted(efs[:: (len(efs) + 4095) // 4096])
-    cuts = [sample[len(sample) * k // 64] for k in range(1, 64)]
-    buckets = [array("q") for _ in range(64)]
-    bucket_of = map(bisect_right, repeat(cuts), efs)
+    cuts = sorted({sample[len(sample) * k // 64] for k in range(1, 64)})
+    # bisect_right puts a value equal to the k-th cut in bucket 2k + 1; the
+    # bound above the largest double is inf, which no efs equals
+    bounds = [b for c in cuts for b in (c, math.nextafter(c, math.inf))]
+    buckets = [array("q") for _ in range(len(bounds) + 1)]
+    bucket_of = map(bisect_right, repeat(bounds), efs)
     # append each index to its bucket, in index order, at C speed
     deque(map(array.append, map(buckets.__getitem__, bucket_of), count()), maxlen=0)
     order = array("q")
     value = efs.__getitem__
-    crowded = len(efs) // 32  # twice the even share of 64 buckets
     for k, bucket in enumerate(buckets):
         buckets[k] = None  # freed once its indices are in `order`
-        if len(bucket) > crowded and min(map(value, bucket)) == max(map(value, bucket)):
+        if k % 2:
             order.extend(bucket)  # one value: index order is the stable sort's
         else:
             order.fromlist(sorted(bucket, key=value))

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -59,20 +61,27 @@ class TestRankedProfile:
         assert p.edge_sequence() == tuple(make_zero_graph(5).edges())
 
     def test_all_tied_order_1000_is_not_sorted(self):
-        # every efs ties: one bucket holds all 499,500 indices, which stay
-        # unboxed in index order; a sort with a boxed key each peaks near
-        # 40 MB. The efs are computed untraced, as tracing them takes seconds.
-        g = CompleteWeightedGraph(1000, [1.0] * 499500)
-        efs = efs_all(g)
-        tracemalloc.start()
-        try:
-            with mock.patch.object(profile, "efs_all", return_value=efs):
-                order = ranked_profile(g).order
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert order == array("q", range(499500))
-        assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        # tied efs stay unboxed, in index order, in a bucket of their own. A
+        # sort with a boxed key each peaks near 40 MB when all 499,500 efs
+        # tie, and near 29 MB when 70% of them are 0.0 and share a bucket
+        # with other values. The efs are given, as tracing them takes seconds.
+        rng = random.Random(1)
+        columns = {
+            "all ones": efs_all(CompleteWeightedGraph(1000, [1.0] * 499500)),
+            "70% zeros": memoryview(array("d", (
+                0.0 if rng.random() < 0.7 else rng.uniform(-1.0, 1.0) for _ in range(499500)
+            ))).toreadonly(),
+        }
+        for name, efs in columns.items():
+            tracemalloc.start()
+            try:
+                with mock.patch.object(profile, "efs_all", return_value=efs):
+                    order = ranked_profile(random_graph(3, 0)).order
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert order.tolist() == sorted(range(499500), key=efs.__getitem__), name
+            assert peak < 15 * 2**20, f"{name}: peak {peak / 2**20:.1f} MB"
 
     @given(graphs())
     @settings(max_examples=40)
@@ -87,12 +96,13 @@ class TestRankedProfile:
 @st.composite
 def efs_columns(draw):
     """Finite values for ``ranked_profile`` to rank: all equal, signed zeros,
-    a few distinct values, mostly one value, heavy-tailed or any, as many as
-    on either side of the 4,096 that it samples."""
+    a few distinct values, mostly one value, neighbouring doubles,
+    heavy-tailed or any, as many as on either side of the 4,096 that it
+    samples."""
     m = draw(st.one_of(st.integers(3, 300), st.sampled_from([4095, 4096, 4097, 8193, 20000])))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["equal", "zeros", "few", "mostly", "heavy", "any"]))
+    kind = draw(st.sampled_from(["equal", "zeros", "few", "mostly", "neighbours", "heavy", "any"]))
     if kind == "equal":
         return [draw(finite)] * m
     if kind == "zeros":
@@ -102,9 +112,23 @@ def efs_columns(draw):
         pool = draw(st.lists(finite, min_size=1, max_size=5))
         return [rng.choice(pool) for _ in range(m)]
     if kind == "mostly":
-        # one crowded bucket holding the tied value and the values just above it
+        # a tied value that is a cut, with other values on both sides of it
         tied = draw(finite)
         return [tied if rng.random() < 0.7 else rng.uniform(-1e6, 1e6) for _ in range(m)]
+    if kind == "neighbours":
+        # a value just above or below a cut, where the bound above the cut
+        # may equal the next cut; the bound above the largest double is inf,
+        # and at a power of two the spacing of doubles changes
+        powers = st.builds(math.ldexp, st.sampled_from([-1.0, 1.0]), st.integers(-1074, 1023))
+        c = draw(st.one_of(finite, powers))
+        tiny, huge = 5e-324, sys.float_info.max
+        pool = [c, math.nextafter(c, math.inf), math.nextafter(c, -math.inf),
+                huge, -huge, 0.0, -0.0, tiny, -tiny]
+        pool = [x for x in pool if math.isfinite(x)]
+        # frequencies 1 to 4,096 apart, so that some values are cuts and
+        # some fall between cuts
+        weights = [2.0 ** rng.randint(0, 12) for _ in pool]
+        return rng.choices(pool, weights, k=m)
     if kind == "heavy":
         return [rng.choice((-1.0, 1.0)) * rng.paretovariate(0.3) for _ in range(m)]
     return draw(st.lists(finite, min_size=3, max_size=300))
