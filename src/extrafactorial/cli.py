@@ -15,10 +15,10 @@ so it is never held whole; a byte that is not UTF-8 anywhere in it is still
 reported before any error in its text.
 A reader that closes stdout early ends the process by SIGPIPE, quietly.
 On an error, every command except `enumerate` leaves stdout empty.
-`enumerate` writes its lines in blocks of ``_BLOCK_LINES``, one write each
-even when stdout is unbuffered; on an error it first writes the lines made
-before it, so it keeps every line before the error. Run it as the
-installed `xfs` script or as `python -m extrafactorial.cli`.
+`enumerate` writes its lines in blocks of ``profile._BLOCK_LINES``, one
+write each even when stdout is unbuffered; on an error it first writes the
+lines made before it, so it keeps every line before the error. Run it as
+the installed `xfs` script or as `python -m extrafactorial.cli`.
 """
 
 from __future__ import annotations
@@ -61,12 +61,9 @@ from .graph import (
     random_graph,
     serialize_graph,
 )
-from .profile import compare_profiles, export_profile_csv, ranked_profile
+from .profile import _BLOCK_LINES, compare_profiles, export_profile_csv, ranked_profile
 
 VERIFY_TOLERANCE = 1e-9
-
-#: Cycle lines per block of text that ``enumerate`` yields.
-_BLOCK_LINES = 1024
 
 #: The format of every value printed for reading: up to 12 significant
 #: digits, trailing zeros trimmed, as ``format(x, ".12g")`` gives them.

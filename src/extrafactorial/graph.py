@@ -5,8 +5,8 @@ doubles in one flat array ordered row-major over pairs (u, v) with u < v and
 shown as a read-only ``memoryview``; the per-edge results are kept the same
 way. This module owns that layout: ``pairs`` yields it, ``_row_major`` gives
 its two vertex columns, ``_pair_index`` inverts it,
-``CompleteWeightedGraph.rows`` gives its rows, which ``strengths`` and
-``efs.efs_all`` read, and ``CompleteWeightedGraph.matrix`` unfolds it for
+``CompleteWeightedGraph.rows`` gives its rows, which ``efs.efs_all`` and
+``serialize_graph`` read, and ``CompleteWeightedGraph.matrix`` unfolds it for
 cycle lengths. ``build_graph`` takes columns already in it as they are,
 ``serialize_graph`` writes its weight lines with ``format_weight``, and
 ``profile.export_profile_csv`` finds the vertices of an edge index in
@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations, repeat
-from operator import add, eq
+from operator import eq, index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -93,6 +93,7 @@ class CompleteWeightedGraph:
     weights: memoryview
 
     def __init__(self, n: int, weights: Iterable[float]):
+        n = index(n)
         if n < 3:
             raise OrderTooSmall(f"graph order must be >= 3, got {n}")
         weights = memoryview(array("d", weights)).toreadonly()
@@ -125,11 +126,6 @@ class CompleteWeightedGraph:
         # a memoryview's own repr shows only its address
         return f"CompleteWeightedGraph(n={self.n}, weights={self.weights.tolist()})"
 
-    def _repr_pretty_(self, printer, cycle: bool) -> None:
-        # the pretty printers of IPython and Hypothesis would otherwise show
-        # each field by its own repr
-        printer.text(repr(self))
-
     @property
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
@@ -161,13 +157,10 @@ class CompleteWeightedGraph:
     @cached_property
     def strengths(self) -> tuple[float, ...]:
         """Per-vertex sum of the n-1 incident weights."""
-        # row u adds its weights to acc[u] in order, then one each to the
-        # columns acc[u+1:]: the same additions in the same order as the loop
-        # ``acc[u] += w; acc[v] += w`` over the pairs
         acc = [0.0] * self.n
-        for u, row in enumerate(self.rows()):
-            acc[u] = reduce(add, row, acc[u])
-            acc[u + 1 :] = map(add, acc[u + 1 :], row)
+        for u, v, w in zip(*_row_major(self.n), self.weights):
+            acc[u] += w
+            acc[v] += w
         return tuple(acc)
 
     @cached_property
@@ -245,8 +238,13 @@ def format_weight(x: float) -> str:
 
 def serialize_graph(g: CompleteWeightedGraph) -> str:
     """Text form of a graph; ``parse_graph`` inverts it exactly."""
-    lines = (f"{u} {v} {format_weight(w)}" for (u, v), w in zip(pairs(g.n), g.weights))
-    return "\n".join([f"n {g.n}", *lines, ""])
+    # one string per row, not per pair: the strings of a row's lines are
+    # freed once they are joined
+    rows = (
+        "\n".join([f"{u} {v} {format_weight(w)}" for v, w in enumerate(row, u + 1)])
+        for u, row in enumerate(g.rows())
+    )
+    return "\n".join([f"n {g.n}", *rows, ""])
 
 
 #: ``parse_graph`` cuts a text into blocks of whole lines about this many

@@ -29,8 +29,9 @@ from .graph import (
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
 
-#: Rows per block of CSV text that ``export_profile_csv`` yields.
-_CSV_BLOCK_ROWS = 4096
+#: Lines per block of text that ``export_profile_csv`` yields, and that
+#: ``cli`` yields for ``enumerate``.
+_BLOCK_LINES = 1024
 
 
 class RankedProfile(NamedTuple):
@@ -51,11 +52,6 @@ class RankedProfile(NamedTuple):
         # a memoryview's own repr shows only its address
         order, efs = self.order.tolist(), self.efs.tolist()
         return f"RankedProfile(n={self.n}, order={order}, efs={efs})"
-
-    def _repr_pretty_(self, printer, cycle: bool) -> None:
-        # the pretty printers of IPython and Hypothesis would otherwise show
-        # each field by its own repr
-        printer.text(repr(self))
 
     def edge_sequence(self) -> tuple[EdgeKey, ...]:
         edges = list(map(EdgeKey._make, pairs(self.n)))
@@ -164,7 +160,7 @@ def _worst_deviation(c, efs1: Iterable, efs2: Iterable):
 
 def export_profile_csv(p: RankedProfile) -> Iterator[str]:
     """CSV text "rank,u,v,efs" in rank order, full-precision values, as blocks
-    of whole lines: the header, then one block per ``_CSV_BLOCK_ROWS`` ranks.
+    of whole lines: the header, then one block per ``_BLOCK_LINES`` ranks.
 
     The values must be finite, as ``ranked_profile`` gives them: it raises on
     an overflow before any block is made.
@@ -173,8 +169,8 @@ def export_profile_csv(p: RankedProfile) -> Iterator[str]:
     us, vs = (list(map(labels.__getitem__, column)) for column in _row_major(p.n))
     order, efs = p.order, p.efs
     yield "rank,u,v,efs\n"
-    for start in range(0, len(order), _CSV_BLOCK_ROWS):
-        ks = order[start : start + _CSV_BLOCK_ROWS]
+    for start in range(0, len(order), _BLOCK_LINES):
+        ks = order[start : start + _BLOCK_LINES]
         values = list(map(efs.__getitem__, ks))
         # format_weight drops the ".0" of an integral float and gives any
         # other finite float its repr

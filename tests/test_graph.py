@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 from itertools import chain
 from unittest import mock
@@ -177,6 +178,14 @@ class TestBuildGraph:
             build_graph(2, [0], [1], [1.0])
         with pytest.raises(OrderTooSmall):
             CompleteWeightedGraph(2, (1.0,))
+
+    @pytest.mark.parametrize(
+        "n, error", [(3.0, TypeError), (3.5, TypeError), (True, OrderTooSmall)]
+    )
+    def test_order_must_be_an_integer(self, n, error):
+        # 3.0 would pass every other check and leave ``strengths`` to fail
+        with pytest.raises(error):
+            CompleteWeightedGraph(n, (1.0, 2.0, 3.0))
 
     def test_unequal_columns(self):
         # zip would drop the tail of the longer columns; the lengths are checked
@@ -460,6 +469,17 @@ class TestTextFormat:
         assert lines[0] == "n 4"
         assert lines[1] == "0 1 12"
         assert len(lines) == 7
+
+    def test_serialize_peak_memory(self):
+        # a string per line, all alive at once, would take over 4x the text
+        g = random_graph(300, 1)
+        tracemalloc.start()
+        try:
+            text = serialize_graph(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     def test_serialize_int_weights(self):
         # weights are stored as doubles, so 10**17 is written as the float

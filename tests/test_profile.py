@@ -298,7 +298,7 @@ class TestCsv:
     def test_blocks_mixing_integral_and_other_values(self, monkeypatch, rows):
         # ranked efs 82.5 x4, 83, 83, 83.5, 83.5, 84.5, 85: with 2 or 3 rows
         # a block, a block holds both kinds of value, and so does a boundary
-        monkeypatch.setattr(profile, "_CSV_BLOCK_ROWS", rows)
+        monkeypatch.setattr(profile, "_BLOCK_LINES", rows)
         weights = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.5, 10.0)
         p = ranked_profile(CompleteWeightedGraph(5, weights))
         header, *blocks = export_profile_csv(p)
