@@ -72,10 +72,6 @@ _NUMBER = "%.12g"
 Output = tuple[int, Iterable[str]]  # a handler's exit code and its stdout as pieces of whole lines
 
 
-def _fmt(x: float) -> str:
-    return _NUMBER % x
-
-
 def _ints_arg(text: str, shape: str) -> tuple[int, ...]:
     """`text` as comma-separated integers, as many as `shape` ('u,v') names."""
     parts = text.split(",")
@@ -135,9 +131,9 @@ def _cmd_stats(args: argparse.Namespace) -> Output:
     return 0, [
         f"order {g.n}\n",
         f"edges {g.edge_count}\n",
-        f"total_weight {_fmt(g.total_weight)}\n",
-        f"mean_length {_fmt(mean_length_all(g))}\n",
-        f"mean_squared_length {_fmt(mean_squared_length(g))}\n",
+        f"total_weight {_NUMBER % g.total_weight}\n",
+        f"mean_length {_NUMBER % mean_length_all(g)}\n",
+        f"mean_squared_length {_NUMBER % mean_squared_length(g)}\n",
     ]
 
 
@@ -157,7 +153,7 @@ def _cmd_efs(args: argparse.Namespace) -> Output:
         ]
     return 0, [
         f"edge {edge.u},{edge.v}\n",
-        *(f"{name} {_fmt(x)}\n" for name, x in zip(names, values) if x is not None),
+        *(f"{name} {_NUMBER % x}\n" for name, x in zip(names, values) if x is not None),
     ]
 
 
@@ -270,11 +266,11 @@ def _cmd_compare(args: argparse.Namespace) -> Output:
     p1 = ranked_profile(_load(args.file_a))
     p2 = ranked_profile(_load(args.file_b))
     outcome = compare_profiles(p1, p2)
-    scale = "none" if outcome.scale_factor is None else _fmt(outcome.scale_factor)
+    scale = "none" if outcome.scale_factor is None else _NUMBER % outcome.scale_factor
     return 0, [
         f"same_ranking {'true' if outcome.same_ranking else 'false'}\n",
         f"scale_factor {scale}\n",
-        f"max_relative_deviation {_fmt(outcome.max_relative_deviation)}\n",
+        f"max_relative_deviation {_NUMBER % outcome.max_relative_deviation}\n",
     ]
 
 

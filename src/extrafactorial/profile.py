@@ -124,21 +124,17 @@ def compare_profiles(p1: RankedProfile, p2: RankedProfile) -> ProfileComparison:
     c = top / bottom
     # c is the ratio rounded to a double unless the ratio left the double
     # range: then c is inf, or 0 although top is not
-    in_range = lambda c: math.isfinite(c) and (c != 0.0 or top == 0.0)
-    worst = _worst_deviation(c, efs1, efs2) if in_range(c) else math.nan
+    in_range = math.isfinite(c) and (c != 0.0 or top == 0.0)
+    worst = _worst_deviation(c, efs1, efs2) if in_range else math.nan
     if math.isnan(worst):
         # c, a prediction c * v1 or a difference v2 - c * v1 left the double
-        # range: compare exactly.
+        # range: compare exactly; c is already the exact ratio rounded.
         # fractions loads decimal, so only this rare path imports it.
         from fractions import Fraction
 
         exact = Fraction(top) / Fraction(bottom)
         worst = _worst_deviation(exact, map(Fraction, efs1), map(Fraction, efs2))
-        try:
-            c = float(exact)
-        except OverflowError:
-            c = math.inf
-    scale = c if in_range(c) and worst <= SCALE_TOLERANCE else None
+    scale = c if in_range and worst <= SCALE_TOLERANCE else None
     return ProfileComparison(same_ranking, scale, float(worst))
 
 

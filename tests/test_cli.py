@@ -358,7 +358,7 @@ class TestEnumerateBlocks:
 
     @given(st.floats())
     def test_number_format_is_format_12g(self, x):
-        assert cli._fmt(x) == format(x, ".12g")
+        assert cli._NUMBER % x == format(x, ".12g")
 
 
 class TestVerify:

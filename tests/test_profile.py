@@ -157,6 +157,13 @@ class TestRankingIsTheStableSort:
         assert ranked_profile(g).order.tolist() == sorted(range(len(efs)), key=efs.__getitem__)
 
 
+def profile_of(efs):
+    """The profile of three efs, ranked by a stable sort."""
+    order = sorted(range(3), key=efs.__getitem__)
+    views = (memoryview(array(t, xs)).toreadonly() for t, xs in (("q", order), ("d", efs)))
+    return RankedProfile(3, *views)
+
+
 class TestCompareProfiles:
     def test_identity(self, graph4):
         p = ranked_profile(graph4)
@@ -217,13 +224,20 @@ class TestCompareProfiles:
     def test_difference_beyond_the_double_range(self):
         # under c = 1, the prediction -1e308 of an actual 1e308 is 2e308 off,
         # beyond the double range; the exact deviation is 2
-        def profile_of(efs):
-            order = sorted(range(3), key=efs.__getitem__)
-            views = (memoryview(array(t, xs)).toreadonly() for t, xs in (("q", order), ("d", efs)))
-            return RankedProfile(3, *views)
-
         outcome = compare_profiles(profile_of([-1e308, 1e308, 1.0]), profile_of([-1e308, -1e308, 1.0]))
         assert (outcome.scale_factor, outcome.max_relative_deviation) == (None, 2.0)
+
+    @pytest.mark.parametrize("d", [3.0, 7.0])
+    def test_scale_found_by_the_exact_pass(self, d):
+        # the prediction c * d of the actual M rounds past the double range,
+        # so the float pass gives NaN and the exact pass finds the scale
+        big = sys.float_info.max
+        c = big / d
+        efs1, efs2 = [1.0, -0.5, d], [c, -0.5 * c, big]
+        assert math.isnan(profile._worst_deviation(c, efs1, efs2))
+        outcome = compare_profiles(profile_of(efs1), profile_of(efs2))
+        assert outcome.scale_factor == c
+        assert outcome.max_relative_deviation == 2.0**-54
 
     def test_zero_scale_of_a_zero_profile_stays(self, graph4):
         # an exact ratio of 0 is a double: the zero graph is 0 times any graph
