@@ -9,8 +9,8 @@ its two vertex columns, ``_pair_index`` inverts it,
 ``serialize_graph`` read, and ``CompleteWeightedGraph.matrix`` unfolds it for
 cycle lengths. ``build_graph`` takes columns already in it as they are,
 ``serialize_graph`` writes its weight lines with ``format_weight``, and
-``profile.export_profile_csv`` finds the vertices of an edge index in
-``_row_major``'s columns. Instances are immutable and safe to share across
+``profile.export_profile_csv`` finds the vertices of an edge index from the
+index where its row starts. Instances are immutable and safe to share across
 threads; all operations are pure.
 
 ``parse_graph`` reads the text format in blocks of whole lines: ``_blocks``

@@ -308,6 +308,26 @@ class TestCsv:
     def test_round_trip_random(self, g):
         self.assert_round_trip(ranked_profile(g))
 
+    def test_vertex_columns_take_four_bytes_a_pair(self):
+        # the vertices of each pair come from one array of 4-byte ids, not
+        # from a list of labels per pair and column (16 bytes a pair), whose
+        # place in the heap moved the peak RSS of `xfs efs` by 4 MB
+        rng = random.Random(3)
+        n = 600
+        m = n * (n - 1) // 2
+        efs = memoryview(array("d", (rng.uniform(-1e3, 1e3) for _ in range(m)))).toreadonly()
+        order = list(range(m))
+        rng.shuffle(order)
+        p = RankedProfile(n, memoryview(array("q", order)).toreadonly(), efs)
+        tracemalloc.start()
+        try:
+            lines = sum(block.count("\n") for block in export_profile_csv(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lines == m + 1
+        assert peak < 8 * m, f"peak {peak / m:.1f} bytes a pair"
+
     @pytest.mark.parametrize("rows", [2, 3])
     def test_blocks_mixing_integral_and_other_values(self, monkeypatch, rows):
         # ranked efs 82.5 x4, 83, 83, 83.5, 83.5, 84.5, 85: with 2 or 3 rows
