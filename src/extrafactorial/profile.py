@@ -18,12 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .efs import efs_all
 from .errors import OrderMismatch
-from .graph import (
-    CompleteWeightedGraph,
-    EdgeKey,
-    format_weight,
-    pairs,
-)
+from .graph import CompleteWeightedGraph, EdgeKey, pairs
 
 #: Relative tolerance for accepting a fitted scale factor between profiles.
 SCALE_TOLERANCE = 1e-9
@@ -157,8 +152,12 @@ def export_profile_csv(p: RankedProfile) -> Iterator[str]:
     """CSV text "rank,u,v,efs" in rank order, full-precision values, as blocks
     of whole lines: the header, then one block per ``_BLOCK_LINES`` ranks.
 
-    The values must be finite, as ``ranked_profile`` gives them: it raises on
-    an overflow before any block is made.
+    Each efs is written as its ``repr`` without an integral value's ".0".
+    That is ``format_weight``'s text for every value ``ranked_profile``
+    gives, since those are finite and never -0.0 (a -0.0 would print as
+    "-0", which still parses back to -0.0). The values must be finite, as
+    ``ranked_profile`` gives them: it raises on an overflow before any block
+    is made.
     """
     n, order, efs = p.n, p.order, p.efs
     labels = list(map(str, range(n)))  # one shared string per vertex
@@ -176,9 +175,6 @@ def export_profile_csv(p: RankedProfile) -> Iterator[str]:
     yield "rank,u,v,efs\n"
     for start in range(0, len(order), _BLOCK_LINES):
         ks = order[start : start + _BLOCK_LINES]
-        values = list(map(efs.__getitem__, ks))
-        # format_weight drops the ".0" of an integral float and gives any
-        # other finite float its repr
-        fmt = format_weight if any(map(float.is_integer, values)) else repr
-        rows = zip(count(start + 1), ks, map(fmt, values))
+        text = map(str.removesuffix, map(repr, map(efs.__getitem__, ks)), repeat(".0"))
+        rows = zip(count(start + 1), ks, text)
         yield "".join([f"{r},{labels[us[k]]},{labels[k + offs[us[k]]]},{x}\n" for r, k, x in rows])

@@ -5,7 +5,7 @@ from itertools import combinations
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from extrafactorial import (
     CompleteWeightedGraph,
@@ -56,11 +56,23 @@ def finite_weights(bound=100.0):
 
 
 @st.composite
-def graphs(draw, min_n=3, max_n=6, bound=100.0):
+def graphs(draw, min_n=3, max_n=6, bound=100.0, weights=None):
     n = draw(st.integers(min_n, max_n))
     m = n * (n - 1) // 2
-    ws = draw(st.lists(finite_weights(bound), min_size=m, max_size=m))
+    if weights is None:
+        weights = finite_weights(bound)
+    ws = draw(st.lists(weights, min_size=m, max_size=m))
     return CompleteWeightedGraph(n, tuple(ws))
+
+
+#: Both zeros, the least subnormals and values whose sums cancel or overflow.
+SIGNED_EXTREMES = [
+    s * x for x in (0.0, 5e-324, 1.0, 2.5, 1e16, 1.7e308) for s in (1.0, -1.0)
+]
+
+
+def is_negative_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) < 0
 
 
 class TestBreakdown:
@@ -200,6 +212,28 @@ class TestEfsAll:
         for k, e in enumerate(g.edges()):
             # bit-equal: one formula, same arithmetic order on both paths
             assert table[k].hex() == edge_statistics(g, e).efs.hex()
+
+    @given(graphs(max_n=8, weights=st.sampled_from(SIGNED_EXTREMES)))
+    @example(make_uniform_graph(3, -0.0))
+    @example(make_uniform_graph(12, -0.0))
+    @settings(max_examples=200)
+    def test_no_efs_is_negative_zero(self, g):
+        # the profile CSV writes an efs as its repr less a trailing ".0",
+        # which is format_weight's text for every finite value but -0.0.
+        # (n-2)w is -0.0 only when w is; then (S_u + S_v) - 2w is not, and
+        # neither is the sum
+        try:
+            table = efs_all(g)
+        except OverflowError:
+            assume(False)
+        assert not any(map(is_negative_zero, table))
+        for e in g.edges():
+            try:
+                x = edge_statistics(g, e).efs
+            except OverflowError:
+                # the mean of the cycles avoiding e left the double range
+                x = extra_factorial_sum(g, e)
+            assert not is_negative_zero(x)
 
     def test_non_finite_efs_raises_overflow(self):
         # finite weights; only efs(0, 2) = 2w and efs(1, 3) = 2 * x3 = 2w

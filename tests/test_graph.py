@@ -494,6 +494,27 @@ class TestTextFormat:
     def test_round_trip_random(self, g):
         assert parse_graph(serialize_graph(g)) == g
 
+    @given(
+        graphs(
+            weights=st.one_of(
+                st.sampled_from(
+                    [s * x for x in (0.0, 5e-324, 2.2250738585072014e-308, 1e16, 2.0**53, 1.7e308)
+                     for s in (1.0, -1.0)]
+                ),
+                st.floats(allow_nan=False, allow_infinity=False),
+            )
+        ),
+        st.sampled_from([64, graph._CHUNK_CHARS]),
+    )
+    @example(CompleteWeightedGraph(7, (-0.0,) * 21), 64)
+    @settings(max_examples=100)
+    def test_round_trip_keeps_every_bit(self, g, chunk_chars):
+        # == does not tell -0.0 from 0.0, float.hex does; 64-character blocks
+        # send the lines after the header to the block path
+        with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+            h = parse_graph(serialize_graph(g))
+        assert [w.hex() for w in h.weights] == [w.hex() for w in g.weights]
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(-0.0)
     @settings(max_examples=200)

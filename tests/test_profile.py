@@ -25,14 +25,12 @@ from oracles import make_zero_graph, scale_graph
 
 
 @st.composite
-def graphs(draw, min_n=3, max_n=7, bound=100.0):
+def graphs(draw, min_n=3, max_n=7, bound=100.0, weights=None):
     n = draw(st.integers(min_n, max_n))
     m = n * (n - 1) // 2
-    ws = draw(
-        st.lists(
-            st.floats(min_value=-bound, max_value=bound), min_size=m, max_size=m
-        )
-    )
+    if weights is None:
+        weights = st.floats(min_value=-bound, max_value=bound)
+    ws = draw(st.lists(weights, min_size=m, max_size=m))
     return CompleteWeightedGraph(n, tuple(ws))
 
 
@@ -291,19 +289,21 @@ class TestCsv:
     @staticmethod
     def assert_round_trip(p):
         # row r carries rank r, the r-th edge of the ranking and that edge's
-        # efs, which parses back to the same bits
+        # efs in format_weight's text, which parses back to the same bits
         header, *rows = "".join(export_profile_csv(p)).splitlines()
         assert header == "rank,u,v,efs"
         assert len(rows) == len(p.order)
         for rank, (row, e, k) in enumerate(zip(rows, p.edge_sequence(), p.order), start=1):
             r, u, v, value = row.split(",")
             assert (int(r), int(u), int(v)) == (rank, e.u, e.v)
+            assert value == format_weight(p.efs[k])
             assert float(value).hex() == p.efs[k].hex()
 
     def test_round_trip(self, graph5):
         self.assert_round_trip(ranked_profile(graph5))
 
-    @given(graphs())
+    # integer weights make every efs integral, written without its ".0"
+    @given(st.one_of(graphs(), graphs(weights=st.integers(-100, 100).map(float))))
     @settings(max_examples=40)
     def test_round_trip_random(self, g):
         self.assert_round_trip(ranked_profile(g))
