@@ -6,12 +6,13 @@ values, so most efs values are shared by many edges: its profile pins the
 scale pivot among equal-magnitude edges. The random order-60 graph pins the
 full-precision values. The order-6 enumerations pin the order in which each
 stream visits its seed cycles and inserts the remaining vertices. The order-60
-`gen` file pins `serialize_graph`, and one digest pins every order-6 stream of
-the three enumerators. One edge's statistics are pinned in text and CSV on an
-order-3 graph (no cycle avoids an edge, so `mean_not_through` is left out of
-the text and empty in the CSV), the two worked examples and the order-60
-graph, with the edge given both ways round. Long outputs are pinned by SHA-256
-digest.
+`gen` file pins `serialize_graph`, one digest pins every order-6 stream of
+the three enumerators, and another pins the order-8 streams, with pairs that
+miss vertex 0 so that the smaller vertices go in front. One edge's statistics
+are pinned in text and CSV on an order-3 graph (no cycle avoids an edge, so
+`mean_not_through` is left out of the text and empty in the CSV), the two
+worked examples and the order-60 graph, with the edge given both ways round.
+Long outputs are pinned by SHA-256 digest.
 """
 
 import hashlib
@@ -179,6 +180,30 @@ def test_stream_order_digest():
         h.update(repr(cycles).encode() + b"\n")
     assert (len(streams), yielded) == (1 + 15 + 210, 60 + 15 * 24 + 120 * 6 + 90 * 12)
     assert h.hexdigest() == "9aee987f39c85465c7a22f1d1ce50215ae8aa1fbb89fd0d3d1e3df0caa5142fc"
+
+
+def test_stream_order_digest_order_8():
+    # parents of up to 7 vertices, in order: all cycles, the cycles through
+    # each edge, and the cycles through each ordered pair of distinct edges
+    # among vertices 4..7 (adjacent and not), the first edge given with its
+    # endpoints flipped; such a pair misses vertex 0, so vertices 0..3 are
+    # each inserted in front of the seed
+    n = 8
+    edges = list(combinations(range(n), 2))
+    streams = [enumerate_all(n)]
+    streams += [enumerate_through_edge(n, e) for e in edges]
+    streams += [
+        enumerate_through_pair(n, (v, u), f)
+        for (u, v), f in permutations(combinations(range(4, n), 2), 2)
+    ]
+    h = hashlib.sha256()
+    yielded = 0
+    for stream in streams:
+        cycles = [c.vertices for c in stream]
+        yielded += len(cycles)
+        h.update(repr(cycles).encode() + b"\n")
+    assert (len(streams), yielded) == (1 + 28 + 30, 2520 + 28 * 720 + 24 * 120 + 6 * 240)
+    assert h.hexdigest() == "d3f75efc26a76e2f0281e4012c371dee320efa573fc0c1c47fdba3f78346a366"
 
 
 EDGE_CSV_HEADER = "u,v,x1,x2,x3,efs,mean_through,mean_not_through\n"
