@@ -55,11 +55,13 @@ def edge_key(u: int, v: int) -> EdgeKey:
     """Normalize a vertex pair into an :class:`EdgeKey`.
 
     Raises TypeError for an id that is not an ``int``, SelfLoop if the
-    endpoints coincide and VertexOutOfRange for negative ids. Upper-bound
-    checks happen against a concrete graph.
+    endpoints coincide and VertexOutOfRange for negative ids. Each id is
+    stored as an exact ``int``, so ``True`` becomes 1. Upper-bound checks
+    happen against a concrete graph.
     """
     if not (isinstance(u, int) and isinstance(v, int)):
         raise TypeError(f"vertex ids must be integers, got ({u!r}, {v!r})")
+    u, v = index(u), index(v)  # a bool or other int subclass becomes an exact int
     if u == v:
         raise SelfLoop(f"edge ({u}, {v}) joins a vertex to itself")
     if u < 0 or v < 0:

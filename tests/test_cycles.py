@@ -21,7 +21,7 @@ from extrafactorial import (
     enumerate_through_edge,
     enumerate_through_pair,
 )
-from extrafactorial.cycles import _children
+from extrafactorial.cycles import _child_getters, _children
 from extrafactorial.errors import (
     EnumerationCapExceeded,
     NotAPermutation,
@@ -101,6 +101,13 @@ class TestCanonicalize:
             HamiltonianCycle(raw)
         assert str(info.value) == message
 
+    def test_bool_vertex_ids_are_stored_as_ints(self):
+        # True == 1, but a bool kept as a vertex prints as "False-True-2-False"
+        c = HamiltonianCycle([False, True, 2])
+        assert c == (0, 1, 2)
+        assert [type(x) for x in c] == [int, int, int]
+        assert str(c) == "0-1-2-0"
+
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(NotCanonical):
             HamiltonianCycle((1, 0, 2))
@@ -128,10 +135,10 @@ class TestCanonicalize:
             assert str(c) == "-".join(str(v) for v in verts + verts[:1])
 
     def test_rendering_is_str_of_each_vertex(self):
-        # equal vertices of other types are not conflated with the ints
-        # rendered before them
+        # each vertex renders as its own str, whatever was rendered before;
+        # a bool vertex is stored as its int, so True renders as 1
         assert str(HamiltonianCycle((0, 1, 2))) == "0-1-2-0"
-        assert str(canonicalize([0, True, 2])) == "0-True-2-0"
+        assert str(canonicalize([0, True, 2])) == "0-1-2-0"
         assert str(HamiltonianCycle((0, 1, 2))) == "0-1-2-0"
         assert str(canonicalize(range(40))) == "-".join(map(str, [*range(40), 0]))
 
@@ -269,6 +276,21 @@ class TestLaziness:
             tracemalloc.stop()
         assert [len(c) for c in first] == [12, 12, 12]
         assert peak < 1 << 20
+
+    def test_child_pattern_cache_stays_bounded(self):
+        # the index patterns are cached by parent size and reflection variant
+        # alone, at most four per size: the positions of a pair stream's
+        # protected edges, which move from parent to parent and from stream
+        # to stream, are never keys
+        _child_getters.cache_clear()
+        pairs = [((3, 7), (5, 9)), ((0, 13), (13, 1)), ((10, 11), (12, 13)), ((6, 7), (0, 13))]
+        for pair in pairs:
+            stream = enumerate_through_pair(14, *pair, max_order=14)
+            assert sum(1 for _ in islice(stream, 5000)) == 5000
+        info = _child_getters.cache_info()
+        # parents of 3 (an adjacent pair's seed) to 13 vertices
+        assert info.misses <= 4 * (13 - 3 + 1)
+        assert info.currsize <= info.maxsize == 64
 
 
 class TestStreamedCyclesAreCanonical:
@@ -564,6 +586,15 @@ class TestErrorText:
         with pytest.raises(TypeError) as info:
             call()
         assert str(info.value) == message
+
+    def test_bool_vertex_ids_are_stored_as_ints(self):
+        # a bool is an int, so it is accepted, but the stream holds 0 and 1
+        cycles = list(enumerate_through_edge(3, (False, True)))
+        assert [str(c) for c in cycles] == ["0-1-2-0"]
+        assert {type(x) for c in cycles for x in c} == {int}
+        pair = list(enumerate_through_pair(4, (True, 2), (3, False)))
+        assert [str(c) for c in pair] == [str(c) for c in enumerate_through_pair(4, (1, 2), (3, 0))]
+        assert {type(x) for c in pair for x in c} == {int}
 
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize(

@@ -143,6 +143,14 @@ class TestEdgeKey:
             edge_key(u, v)
         assert str(info.value) == f"vertex ids must be integers, got ({u!r}, {v!r})"
 
+    @pytest.mark.parametrize("u, v", [(True, 2), (2, True), (False, True)])
+    def test_bool_ids_become_ints(self, u, v):
+        # a bool is an int, so it is accepted, but stored as 0 or 1
+        key = edge_key(u, v)
+        assert key == tuple(sorted((int(u), int(v))))
+        assert (type(key.u), type(key.v)) == (int, int)
+        assert repr(key) == f"EdgeKey(u={key.u}, v={key.v})"
+
 
 class TestBuildGraph:
     def test_sample4(self, graph4):
