@@ -135,10 +135,10 @@ def _walk_format(order: int) -> str:
     return "-".join(["%s"] * (order + 1))
 
 
-#: Reflection variants of `_child_getters`: which child of a parent whose new
-#: vertex x is not its smallest needs reflecting (none, the child in edge 0
-#: when x > verts[-1], or the child in the last edge when x < verts[1]), and
-#: front insertion, whose children start at x and get a reflection test each
+#: Variants of `_child_getters` (see the module docstring): x behind the front
+#: vertex with no child reflected, with the child in edge 0 reflected
+#: (x > verts[-1]) or with the child in the last edge reflected (x < verts[1]);
+#: and x in front, whose children are tested one by one
 _NO_FLIP, _FLIP_FIRST, _FLIP_LAST, _FRONT = range(4)
 
 
@@ -147,8 +147,7 @@ def _child_getters(size: int, variant: int) -> tuple[itemgetter, ...]:
     # one getter per edge i of a canonical parent of `size` vertices: applied
     # to the parent's vertices plus x (at index `size`), it picks the child
     # with x inserted between vertices i and i+1, starting at its smallest
-    # vertex, reflected where `variant` says so; at most four variants per
-    # size, so 64 entries hold every size up to 18
+    # vertex, reflected where `variant` says so
     if variant == _FRONT:
         patterns = [(size, *range(i + 1, size), *range(i + 1)) for i in range(size)]
     else:
